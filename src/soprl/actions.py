@@ -2,7 +2,9 @@
 
 Covers output normalization (with its backward pass, since it sits inside
 the policy's computation graph), tanh squashing, the inverting-gradients
-transform, clipping, and the saturation / entropy diagnostics.
+transform, clipping, and the saturation / entropy diagnostics.  The two
+action heads bundle these into the two routes an agent can take from raw
+output to action: normalize -> tanh, or clip + inverting gradients.
 """
 
 from __future__ import annotations
@@ -52,18 +54,6 @@ class ActionBounds:
         if np.any(np.abs(center) > 1e-12 * np.maximum(m, 1.0)):
             raise ValueError("tanh squashing requires symmetric bounds")
         return m
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Gaussian stds for exploration and target smoothing."""
-
-    sigma_explore: float = 0.29
-    sigma_target: float = 0.29
-
-    def __post_init__(self):
-        if self.sigma_explore < 0 or self.sigma_target < 0:
-            raise ValueError("noise stds must be nonnegative")
 
 
 def normalize_output(mu: np.ndarray) -> np.ndarray:
@@ -183,3 +173,67 @@ def squashed_policy_entropy(mu: np.ndarray, sigma: float, bounds: ActionBounds,
     h_u = 0.5 * k * np.log(2.0 * np.pi * np.e * sigma * sigma)
     correction = np.sum(np.log(bounds.scale)) + np.sum(_log_sech2(u), axis=1)
     return float(h_u + np.mean(correction))
+
+
+class TanhHead:
+    """Normalize (optionally) -> a = M tanh(h + noise).
+
+    Noise is added in the tanh input's own units, so its unit is 1.
+    """
+
+    noise_unit = 1.0
+
+    def __init__(self, bounds: ActionBounds, normalize: bool):
+        _ = bounds.scale  # raises early when bounds are asymmetric
+        self.bounds = bounds
+        self.normalize = normalize
+
+    def center(self, mu: np.ndarray) -> np.ndarray:
+        """The noise-free tanh input for raw policy output ``mu``."""
+        return normalize_output(mu) if self.normalize else mu
+
+    def action(self, h: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return squash(h, noise, self.bounds)
+
+    def forward_vjp(self, mu: np.ndarray):
+        """The action Q1 sees in the policy objective, and its VJP back to mu."""
+        h = self.center(mu)
+
+        def vjp(a_grad: np.ndarray) -> np.ndarray:
+            h_grad = a_grad * squash_grad(h, self.bounds)
+            return normalize_output_vjp(mu, h_grad) if self.normalize else h_grad
+
+        return self.action(h, np.zeros_like(h)), vjp
+
+    def entropy(self, centers: np.ndarray, sigma: float, seeds: list[int]) -> float:
+        """Mean squashed-policy entropy over a few reference centers."""
+        return float(np.mean([squashed_policy_entropy(h, sigma, self.bounds, 256, seed)
+                              for h, seed in zip(centers, seeds)]))
+
+
+class InvertingGradientsHead:
+    """a = clip(mu + noise); the policy ascends Q1 at the raw output with its
+    gradient rescaled by the distance to the bound it pushes toward.
+
+    Noise is given in units of the half range, matching the tanh head's scale.
+    """
+
+    def __init__(self, bounds: ActionBounds):
+        self.bounds = bounds
+        self.noise_unit = (bounds.high - bounds.low) / 2.0
+
+    def center(self, mu: np.ndarray) -> np.ndarray:
+        return mu
+
+    def action(self, h: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return clip_action(h + noise, self.bounds)
+
+    def forward_vjp(self, mu: np.ndarray):
+        """Q1 sees the unclipped output; the factors use it clipped into the box."""
+        return mu, lambda a_grad: invert_gradients(a_grad, clip_action(mu, self.bounds),
+                                                   self.bounds)
+
+    def entropy(self, centers: np.ndarray, sigma: float, seeds: list[int]) -> float:
+        """Closed-form entropy of the Gaussian exploration noise before clipping."""
+        scale = sigma * self.noise_unit
+        return float(np.sum(0.5 * np.log(2.0 * np.pi * np.e * scale ** 2)))

@@ -10,14 +10,13 @@ or swap squashing for inverting gradients.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nets, replay
-from .actions import (ActionBounds, NoiseConfig, clip_action, invert_gradients,
-                      normalize_output, normalize_output_vjp, saturation_fraction,
-                      squash_grad, squashed_policy_entropy)
+from .actions import (ActionBounds, InvertingGradientsHead, TanhHead,
+                      saturation_fraction)
 from .envs import ToyEnv
 from .replay import EreConfig, PerfTracker, ReplayBuffer, SumTree, Transition
 from .seeds import derive_seed, make_rng
@@ -49,36 +48,29 @@ class AgentConfig:
     per_normalize_weights: bool = True
     exp_lambda: float = 5e-6
     warmup_steps: int = 1000
-    updates_per_step: float = 1.0
-    normalize_target_policy: bool = True
-    literal_target_update: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
-        self.noise_config()  # validates the stds
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        """Every message starts with the offending field's name and a colon."""
+        checks = (("gamma", 0.0 < self.gamma < 1.0, "must be in (0, 1)"),
+                  ("tau", 0.0 < self.tau <= 1.0, "must be in (0, 1]"),
+                  ("sigma_explore", self.sigma_explore >= 0.0, "must be >= 0"),
+                  ("sigma_target", self.sigma_target >= 0.0, "must be >= 0"),
+                  ("lr", self.lr > 0.0, "must be > 0"),
+                  ("batch_size", self.batch_size >= 1, "must be >= 1"),
+                  ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
+                  ("buffer_capacity", self.buffer_capacity >= 1, "must be >= 1"),
+                  ("warmup_steps", self.warmup_steps >= 0, "must be >= 0"),
+                  ("variant", self.variant in VARIANTS, f"must be one of {VARIANTS}"),
+                  ("sampler", self.sampler in SAMPLERS, f"must be one of {SAMPLERS}"))
+        for name, ok, msg in checks:
+            if not ok:
+                raise ValueError(f"{name}: {msg}")
         cmin = self.ere_config().resolved_c_min(self.buffer_capacity, self.batch_size)
         if self.batch_size > cmin:
-            raise ValueError(f"batch_size {self.batch_size} exceeds ERE c_min {cmin}")
+            raise ValueError(f"batch_size: {self.batch_size} exceeds ERE c_min {cmin}")
 
     def ere_config(self) -> EreConfig:
         return EreConfig(eta0=self.eta0, c_min=self.ere_c_min)
-
-    def noise_config(self) -> NoiseConfig:
-        return NoiseConfig(sigma_explore=self.sigma_explore,
-                           sigma_target=self.sigma_target)
-
-    @property
-    def normalizes(self) -> bool:
-        return self.variant in ("sop", "single_q", "no_smoothing")
 
     @property
     def twin_q(self) -> bool:
@@ -119,19 +111,14 @@ def init_agent_state(state_dim: int, action_dim: int, hidden_dim: int,
     )
 
 
-def soft_update_targets(state: AgentState, tau: float, literal: bool = False) -> None:
-    """Polyak-average online parameters into the targets.
-
-    Conventional reading: target <- (1 - tau) * target + tau * online.  The
-    literal flag flips the convex weights (tau on the target side), tracking
-    the online nets almost immediately; it exists purely for comparison.
-    """
-    online_w = tau if not literal else 1.0 - tau
+def soft_update_targets(state: AgentState, tau: float) -> None:
+    """Polyak-average online parameters into the targets:
+    target <- (1 - tau) * target + tau * online."""
     for online, target in ((state.q1, state.q1_target), (state.q2, state.q2_target)):
         for tensors in ("weights", "biases"):
             for src, dst in zip(getattr(online, tensors), getattr(target, tensors)):
-                dst *= 1.0 - online_w
-                dst += online_w * src
+                dst *= 1.0 - tau
+                dst += tau * src
 
 
 class SopAgent:
@@ -150,59 +137,48 @@ class SopAgent:
         self.rng_warmup = make_rng(seed, "warmup")
         self.state = init_agent_state(state_dim, action_dim, cfg.hidden_dim,
                                       self.rng_init)
-        if cfg.variant != "sop_ig":
-            _ = bounds.scale  # raises early when bounds are asymmetric
+        self.head = (InvertingGradientsHead(bounds) if cfg.variant == "sop_ig"
+                     else TanhHead(bounds, normalize=cfg.variant != "no_norm"))
 
     # -- acting ------------------------------------------------------------
 
     def policy_mu(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw and (variant-dependent) normalized policy outputs."""
+        """Raw policy output and the action head's noise-free center."""
         mu = nets.mlp_forward(self.state.policy, states)
-        if self.cfg.normalizes:
-            return mu, normalize_output(mu)
-        return mu, mu
+        return mu, self.head.center(mu)
 
     def act(self, state_vec: np.ndarray, mode: str = "explore",
             rng: np.random.Generator | None = None) -> np.ndarray:
         if mode not in ("explore", "evaluate"):
             raise ValueError("mode must be 'explore' or 'evaluate'")
         rng = rng if rng is not None else self.rng_explore
-        _, head = self.policy_mu(state_vec)
-        if self.cfg.variant == "sop_ig":
-            if mode == "explore":
-                scale = self.cfg.sigma_explore * (self.bounds.high - self.bounds.low) / 2.0
-                head = head + scale * rng.standard_normal(self.action_dim)
-            return clip_action(head, self.bounds)
+        _, center = self.policy_mu(state_vec)
         noise = np.zeros(self.action_dim)
         if mode == "explore":
-            noise = self.cfg.sigma_explore * rng.standard_normal(self.action_dim)
-        return self.bounds.scale * np.tanh(head + noise)
+            noise = ((self.cfg.sigma_explore * self.head.noise_unit)
+                     * rng.standard_normal(self.action_dim))
+        return self.head.action(center, noise)
 
     # -- updates -----------------------------------------------------------
 
     def compute_q_targets(self, batch: dict[str, np.ndarray],
-                          rng: np.random.Generator | None = None,
                           delta: np.ndarray | None = None) -> np.ndarray:
-        """Smoothed clipped double-Q bootstrap targets, r only at terminals."""
+        """Smoothed clipped double-Q bootstrap targets, r only at terminals.
+
+        ``delta`` overrides the smoothing noise, in the head's noise units."""
         cfg = self.cfg
-        rng = rng if rng is not None else self.rng_target
         s2 = batch["next_states"]
         n = s2.shape[0]
         if n == 0:
             raise ValueError("empty batch")
-        mu2 = nets.mlp_forward(self.state.policy, s2)
-        if cfg.normalizes and cfg.normalize_target_policy:
-            mu2 = normalize_output(mu2)
+        center = self.head.center(nets.mlp_forward(self.state.policy, s2))
         if delta is None:
             if cfg.smooths_targets:
-                delta = cfg.sigma_target * rng.standard_normal((n, self.action_dim))
+                delta = cfg.sigma_target * self.rng_target.standard_normal(
+                    (n, self.action_dim))
             else:
                 delta = np.zeros((n, self.action_dim))
-        if cfg.variant == "sop_ig":
-            scale = (self.bounds.high - self.bounds.low) / 2.0
-            a2 = clip_action(mu2 + delta * scale, self.bounds)
-        else:
-            a2 = self.bounds.scale * np.tanh(mu2 + delta)
+        a2 = self.head.action(center, delta * self.head.noise_unit)
         q_in = np.concatenate([s2, a2], axis=1)
         t1 = nets.mlp_forward(self.state.q1_target, q_in)[:, 0]
         if cfg.twin_q:
@@ -243,37 +219,21 @@ class SopAgent:
     def policy_objective_and_grads(self, batch: dict[str, np.ndarray]) -> tuple[float, nets.MlpParams]:
         """Mean Q1(s, action_of(s)) and its ascent gradient w.r.t. the policy.
 
-        The tanh route differentiates through normalize -> squash -> Q1; the
-        inverting-gradients route rescales dQ/dp by distance to the bounds
-        (with p clipped into the box first) before backpropagating.
+        The action head maps the raw output to Q1's action input and carries
+        dQ1/da back to the raw output (see ``TanhHead.forward_vjp`` and
+        ``InvertingGradientsHead.forward_vjp``).
         """
-        cfg = self.cfg
         s = batch["states"]
         n = s.shape[0]
         if n == 0:
             raise ValueError("empty batch")
         mu, cache = nets.mlp_forward_cached(self.state.policy, s)
-        if cfg.variant == "sop_ig":
-            q_in = np.concatenate([s, mu], axis=1)
-            q, q_cache = nets.mlp_forward_cached(self.state.q1, q_in)
-            objective = float(np.mean(q))
-            q_in_grad = nets.mlp_input_grad(self.state.q1, q_cache,
-                                            np.full((n, 1), 1.0 / n))
-            ascent = q_in_grad[:, self.state_dim:]
-            p_clipped = clip_action(mu, self.bounds)
-            mu_grad = invert_gradients(ascent, p_clipped, self.bounds)
-        else:
-            head = normalize_output(mu) if cfg.normalizes else mu
-            a = self.bounds.scale * np.tanh(head)
-            q_in = np.concatenate([s, a], axis=1)
-            q, q_cache = nets.mlp_forward_cached(self.state.q1, q_in)
-            objective = float(np.mean(q))
-            q_in_grad = nets.mlp_input_grad(self.state.q1, q_cache,
-                                            np.full((n, 1), 1.0 / n))
-            a_grad = q_in_grad[:, self.state_dim:]
-            head_grad = a_grad * squash_grad(head, self.bounds)
-            mu_grad = (normalize_output_vjp(mu, head_grad) if cfg.normalizes
-                       else head_grad)
+        a, vjp = self.head.forward_vjp(mu)
+        q_in = np.concatenate([s, a], axis=1)
+        q, q_cache = nets.mlp_forward_cached(self.state.q1, q_in)
+        objective = float(np.mean(q))
+        q_in_grad = nets.mlp_input_grad(self.state.q1, q_cache, np.full((n, 1), 1.0 / n))
+        mu_grad = vjp(q_in_grad[:, self.state_dim:])
         if not np.isfinite(objective):
             raise FloatingPointError("non-finite policy objective")
         grads, _ = nets.mlp_backward_cached(self.state.policy, cache, mu_grad)
@@ -340,29 +300,21 @@ def evaluate_policy(agent: SopAgent, env: ToyEnv, rollouts: int,
 
 
 def _diagnostics(agent: SopAgent, diag: dict[str, np.ndarray], step: int,
-                 seed: int, entropy_samples: int = 256) -> tuple[float, float, float, float]:
+                 seed: int) -> tuple[float, float, float, float]:
     mu_raw = diag["mu_raw"]
     sat = saturation_fraction(diag["actions"], agent.bounds)
     pre = float(np.mean(np.abs(mu_raw)))
-    post_mu = normalize_output(mu_raw) if agent.cfg.normalizes else mu_raw
+    post_mu = agent.head.center(mu_raw)
     post = float(np.mean(np.abs(post_mu)))
-    if agent.cfg.variant == "sop_ig":
-        scale = agent.cfg.sigma_explore * (agent.bounds.high - agent.bounds.low) / 2.0
-        entropy = float(np.sum(0.5 * np.log(2.0 * np.pi * np.e * scale ** 2)))
-    else:
-        # average policy entropy over a few reference states
-        heads = post_mu[:: max(1, len(post_mu) // 5)][:5]
-        vals = [squashed_policy_entropy(h, agent.cfg.sigma_explore, agent.bounds,
-                                        entropy_samples,
-                                        derive_seed(seed, "entropy", step, i))
-                for i, h in enumerate(heads)]
-        entropy = float(np.mean(vals))
+    # policy entropy at a few reference states
+    refs = post_mu[:: max(1, len(post_mu) // 5)][:5]
+    seeds = [derive_seed(seed, "entropy", step, i) for i in range(len(refs))]
+    entropy = agent.head.entropy(refs, agent.cfg.sigma_explore, seeds)
     return entropy, sat, pre, post
 
 
 def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
           eval_interval: int = 5000, eval_rollouts: int = 5,
-          eval_env: ToyEnv | None = None,
           record_walltime: bool = False) -> tuple[TrainRecord, SopAgent]:
     """Run episodes, updating after each one with as many steps as it lasted.
 
@@ -374,7 +326,7 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
     spec = env.spec
     agent = SopAgent(spec.state_dim, spec.action_dim, spec.bounds, cfg,
                      derive_seed(seed, "agent"))
-    eval_env = eval_env if eval_env is not None else env.clone()
+    eval_env = env.clone()
     buffer = ReplayBuffer(cfg.buffer_capacity, spec.state_dim, spec.action_dim)
     tracker = PerfTracker()
     ere_cfg = cfg.ere_config()
@@ -437,7 +389,7 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
         if cfg.sampler == "ere":
             eta = replay.adapt_eta(ere_cfg, tracker)
         if agent.state.env_steps > cfg.warmup_steps and buffer.size > 0:
-            k_upd = max(1, int(round(ep_len * cfg.updates_per_step)))
+            k_upd = ep_len
             for k in range(1, k_upd + 1):
                 batch, slots, weights = draw_batch(k, k_upd)
                 targets = agent.compute_q_targets(batch)
@@ -445,7 +397,7 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
                 if tree is not None:
                     replay.per_update_priorities(tree, slots, td)
                 agent.policy_update(batch)
-                soft_update_targets(agent.state, cfg.tau, cfg.literal_target_update)
+                soft_update_targets(agent.state, cfg.tau)
         if agent.state.env_steps >= next_eval:
             run_eval(agent.state.env_steps)
             while next_eval <= agent.state.env_steps:

@@ -47,11 +47,15 @@ class SamplingScenario:
 
     def __post_init__(self):
         if self.start not in STARTS:
-            raise ValueError(f"start must be one of {STARTS}")
-        if self.updates < 1 or self.capacity < 1:
-            raise ValueError("capacity and updates must be positive")
+            raise ValueError(f"start: must be one of {STARTS}")
+        if self.capacity < 1:
+            raise ValueError("capacity: must be >= 1")
+        if self.updates < 1:
+            raise ValueError("updates: must be >= 1")
         if self.start == "empty" and self.updates > self.capacity:
-            raise ValueError("empty-start scenario requires updates <= capacity")
+            raise ValueError("updates: an empty start needs updates <= capacity")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError("eta: must be in (0, 1]")
 
     @property
     def n_positions(self) -> int:
@@ -106,19 +110,6 @@ def count_variances(scn: SamplingScenario) -> np.ndarray:
     return (p * (1.0 - p)).sum(axis=0)
 
 
-def expected_counts_uniform_empty(capacity: int, updates: int) -> np.ndarray:
-    return expected_counts(SamplingScenario(capacity, updates, 1.0, "empty"))
-
-
-def expected_counts_uniform_full(capacity: int, updates: int) -> np.ndarray:
-    return expected_counts(SamplingScenario(capacity, updates, 1.0, "full"))
-
-
-def expected_counts_ere(capacity: int, updates: int, eta: float,
-                        start: str = "full", c_min: int = 1) -> np.ndarray:
-    return expected_counts(SamplingScenario(capacity, updates, eta, start, c_min))
-
-
 def retained_slice(scn: SamplingScenario) -> slice:
     """Positions still in the buffer after the last update."""
     if scn.start == "full" and scn.updates >= scn.capacity:
@@ -136,7 +127,7 @@ def empirical_counts(scn: SamplingScenario, trials: int,
     trials per update step.
     """
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValueError("trials: must be >= 1")
     lo, hi = scn.window_bounds()
     w = hi - lo + 1
     totals = np.zeros(scn.n_positions, dtype=np.int64)

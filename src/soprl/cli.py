@@ -11,10 +11,8 @@ import numpy as np
 
 from . import analysis, nets, replay
 from .actions import ActionBounds, invert_gradients, normalize_output
-from .agent import SAMPLERS, VARIANTS
 from .analysis import SamplingScenario
-from .envs import env_names
-from .harness import ConfigError, parse_config, run_experiment
+from .harness import ConfigError, config_defaults, parse_config, run_experiment
 from .seeds import make_rng
 
 SCHEMES = ("uniform_empty", "uniform_full", "ere_empty", "ere_full")
@@ -26,24 +24,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="train one experiment across seeds")
-    run.add_argument("--env", choices=env_names())
-    run.add_argument("--variant", choices=VARIANTS, default=None)
-    run.add_argument("--sampler", choices=SAMPLERS, default=None)
-    run.add_argument("--steps", type=int, default=None)
-    run.add_argument("--seeds", type=str, default=None, help="comma-separated, e.g. 1,2,3")
-    run.add_argument("--out", type=str, default=None)
     run.add_argument("--config", type=str, default=None, help="key=value config file")
-    run.add_argument("--eval-interval", dest="eval_interval", type=int, default=None)
-    run.add_argument("--eval-rollouts", dest="eval_rollouts", type=int, default=None)
-    run.add_argument("--walltime", action="store_true", default=None,
-                     help="record wall-clock ms (breaks byte-determinism)")
-    for name in ("gamma", "tau", "sigma", "lr", "eta0", "beta1", "beta2",
-                 "exp_lambda"):
-        run.add_argument(f"--{name}", type=float, default=None)
-    for name in ("batch", "hidden", "buffer", "warmup"):
-        run.add_argument(f"--{name}", type=int, default=None)
-    run.add_argument("--literal-target-update", dest="literal_target_update",
-                     action="store_true", default=None)
+    # one flag per config-file key, spelled with '_' or '-'; parse_config coerces
+    for key, default in config_defaults().items():
+        spellings = dict.fromkeys([f"--{key}", f"--{key.replace('_', '-')}"])
+        kind = {"action": "store_true"} if isinstance(default, bool) else {}
+        run.add_argument(*spellings, dest=key, default=None,
+                         help=f"default: {default}", **kind)
 
     counts = sub.add_parser("analyze", help="sampling-scheme analysis")
     counts_sub = counts.add_subparsers(dest="analysis_command", required=True)
@@ -60,17 +47,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(exc: ValueError) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    keys = ["env", "variant", "sampler", "steps", "seeds", "out", "eval_interval",
-            "eval_rollouts", "walltime", "gamma", "tau", "sigma", "batch", "lr",
-            "hidden", "buffer", "eta0", "beta1", "beta2", "exp_lambda", "warmup",
-            "literal_target_update"]
-    overrides = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    overrides = {key: getattr(args, key) for key in config_defaults()}
     try:
         cfg = parse_config(overrides, config_file=args.config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     summary = run_experiment(cfg)
     for seed in cfg.seeds:
         if seed in summary.failures:
@@ -87,7 +74,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_counts(args: argparse.Namespace) -> int:
     eta = 1.0 if args.scheme.startswith("uniform") else args.eta
     start = "empty" if args.scheme.endswith("empty") else "full"
-    scn = SamplingScenario(args.buffer, args.updates, eta, start)
+    try:
+        scn = SamplingScenario(args.buffer, args.updates, eta, start)
+        if args.trials < 1:
+            raise ValueError("trials: must be >= 1")
+    except ValueError as exc:
+        return _config_error(exc)
     analytic = analysis.expected_counts(scn)
     empirical, sigma = analysis.empirical_counts(scn, args.trials,
                                                  make_rng(args.seed, "counts"))

@@ -10,15 +10,14 @@ only recorded when explicitly requested.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .agent import AgentConfig, SopAgent, TrainRecord, evaluate_policy, train
-from .envs import ToyEnv, env_names, make_env
+from .agent import AgentConfig, TrainRecord, train
+from .envs import env_names, make_env
 from .seeds import derive_seed
 
 CSV_COLUMNS = ["step", "seed", "eval_return_mean", "eval_return_std",
@@ -34,68 +33,63 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: an environment, a variant/sampler, and a seed list."""
+    """One experiment: an environment, a seed list, and the agent to train."""
 
     env: str
-    variant: str = "sop"
-    sampler: str = "uniform"
     steps: int = 20_000
     eval_interval: int = 5000
     eval_rollouts: int = 5
     seeds: tuple[int, ...] = (0,)
     out: str | None = None
     walltime: bool = False
-    gamma: float = 0.99
-    tau: float = 0.005
-    sigma: float = 0.29
-    batch: int = 256
-    lr: float = 3e-4
-    hidden: int = 64
-    buffer: int = 1_000_000
-    eta0: float = 0.995
-    beta1: float = 0.4
-    beta2: float = 0.4
-    exp_lambda: float = 5e-6
-    warmup: int = 1000
-    literal_target_update: bool = False
+    agent: AgentConfig = field(default_factory=AgentConfig)
 
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
         if self.eval_interval < 1:
             raise ConfigError("eval_interval: must be >= 1")
+        if self.eval_rollouts < 1:
+            raise ConfigError("eval_rollouts: must be >= 1")
         if self.steps < 0:
             raise ConfigError("steps: must be >= 0")
         if self.env not in env_names():
-            raise ConfigError(f"env: unknown environment '{self.env}'")
-
-    def agent_config(self) -> AgentConfig:
-        return AgentConfig(
-            gamma=self.gamma, tau=self.tau, sigma_explore=self.sigma,
-            sigma_target=self.sigma, batch_size=self.batch, lr=self.lr,
-            hidden_dim=self.hidden, buffer_capacity=self.buffer,
-            sampler=self.sampler, variant=self.variant, eta0=self.eta0,
-            per_beta1=self.beta1, per_beta2=self.beta2,
-            exp_lambda=self.exp_lambda, warmup_steps=self.warmup,
-            literal_target_update=self.literal_target_update,
-        )
+            raise ConfigError(f"env: unknown environment '{self.env}', "
+                              f"expected one of {env_names()}")
 
 
-_BOOL_KEYS = {"walltime", "literal_target_update"}
+# stable config-file key / run flag -> the AgentConfig fields it sets
+AGENT_KEYS = {
+    "variant": ("variant",), "sampler": ("sampler",), "gamma": ("gamma",),
+    "tau": ("tau",), "sigma": ("sigma_explore", "sigma_target"),
+    "batch": ("batch_size",), "lr": ("lr",), "hidden": ("hidden_dim",),
+    "buffer": ("buffer_capacity",), "eta0": ("eta0",), "beta1": ("per_beta1",),
+    "beta2": ("per_beta2",), "exp_lambda": ("exp_lambda",), "warmup": ("warmup_steps",),
+}
+_KEY_OF_FIELD = {f: key for key, agent_fields in AGENT_KEYS.items() for f in agent_fields}
 
 
-def _coerce(key: str, value: str, target_type):
+def config_defaults() -> dict[str, object]:
+    """Every config-file key (each also a ``run`` flag) and its default value."""
+    run = {f.name: None if f.default is MISSING else f.default
+           for f in fields(ExperimentConfig) if f.name != "agent"}
+    agent = AgentConfig()
+    return {**run, **{key: getattr(agent, fs[0]) for key, fs in AGENT_KEYS.items()}}
+
+
+def _coerce(key: str, value: str, default):
+    """Parse a string to the type of the key's default."""
     try:
         if key == "seeds":
             return tuple(int(tok) for tok in str(value).split(",") if tok != "")
-        if target_type is bool or key in _BOOL_KEYS:
+        if isinstance(default, bool):
             low = str(value).lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        return target_type(value)
+        return str(value) if default is None else type(default)(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: cannot parse value '{value}'") from None
 
@@ -103,7 +97,11 @@ def _coerce(key: str, value: str, target_type):
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read '{path}': {exc.strerror}") from None
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -118,38 +116,27 @@ def parse_config(overrides: dict[str, object], config_file: str | Path | None = 
     """Build a config: defaults, then file values, then explicit overrides.
 
     Unknown keys are rejected by name; 'env' must be present somewhere.
+    Agent-side errors name the file key, not the AgentConfig field.
     """
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    defaults = config_defaults()
+    file_values = read_config_file(config_file) if config_file is not None else {}
     merged: dict[str, object] = {}
-    if config_file is not None:
-        for key, val in read_config_file(config_file).items():
-            if key not in known:
-                raise ConfigError(f"{key}: unknown config key")
-            merged[key] = _coerce(key, val, _field_type(known[key]))
-    for key, val in overrides.items():
+    for key, val in [*file_values.items(), *overrides.items()]:
         if val is None:
             continue
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"{key}: unknown config key")
-        if isinstance(val, str):
-            val = _coerce(key, val, _field_type(known[key]))
-        merged[key] = val
+        merged[key] = _coerce(key, val, defaults[key]) if isinstance(val, str) else val
     if "env" not in merged:
         raise ConfigError("env: required key missing")
+    agent_values = {f: merged[key] for key, agent_fields in AGENT_KEYS.items()
+                    if key in merged for f in agent_fields}
+    run_values = {key: val for key, val in merged.items() if key not in AGENT_KEYS}
     try:
-        cfg = ExperimentConfig(**merged)
-        cfg.agent_config()  # validate agent-side invariants too
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
-
-
-def _field_type(f: dataclasses.Field):
-    mapping = {"int": int, "float": float, "str": str, "bool": bool,
-               "tuple[int, ...]": tuple, "str | None": str}
-    return mapping.get(f.type, str) if isinstance(f.type, str) else f.type
+        return ExperimentConfig(**run_values, agent=AgentConfig(**agent_values))
+    except ValueError as exc:  # ConfigError included; its keys map to themselves
+        name, _, msg = str(exc).partition(": ")
+        raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)}: {msg}") from None
 
 
 def _fmt(value) -> str:
@@ -190,14 +177,9 @@ class ExperimentSummary:
     config: ExperimentConfig
     records: dict[int, TrainRecord] = field(default_factory=dict)
     failures: dict[int, str] = field(default_factory=dict)
-    agents: dict[int, SopAgent] = field(default_factory=dict)
-
-    def final_returns(self) -> dict[int, float]:
-        return {seed: rec.rows[-1].eval_return_mean
-                for seed, rec in self.records.items() if rec.rows}
 
 
-def run_experiment(cfg: ExperimentConfig, keep_agents: bool = False) -> ExperimentSummary:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Train every seed independently and emit per-seed plus aggregate CSVs.
 
     A failing seed is reported in the summary and on stderr; the remaining
@@ -207,12 +189,11 @@ def run_experiment(cfg: ExperimentConfig, keep_agents: bool = False) -> Experime
     out_dir = Path(cfg.out) if cfg.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    agent_cfg = cfg.agent_config()
     print(make_env(cfg.env).spec.describe(), file=sys.stderr)
     for seed in cfg.seeds:
         env = make_env(cfg.env)
         try:
-            record, agent = train(env, agent_cfg, cfg.steps,
+            record, _ = train(env, cfg.agent, cfg.steps,
                                   derive_seed(seed, "run"),
                                   eval_interval=cfg.eval_interval,
                                   eval_rollouts=cfg.eval_rollouts,
@@ -222,16 +203,8 @@ def run_experiment(cfg: ExperimentConfig, keep_agents: bool = False) -> Experime
             print(f"seed {seed} failed: {summary.failures[seed]}", file=sys.stderr)
             continue
         summary.records[seed] = record
-        if keep_agents:
-            summary.agents[seed] = agent
         if out_dir is not None:
             write_seed_csv(out_dir / f"seed_{seed}.csv", seed, record)
     if out_dir is not None:
         write_aggregate_csv(out_dir / "aggregate.csv", summary.records)
     return summary
-
-
-def evaluate(agent: SopAgent, env: ToyEnv, rollouts: int, seed: int) -> tuple[float, float]:
-    """Deterministic-policy evaluation; returns (mean, population std)."""
-    mean, std, _ = evaluate_policy(agent, env, rollouts, seed)
-    return mean, std

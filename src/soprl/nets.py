@@ -120,6 +120,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def mlp_backward_cached(params: MlpParams, cache: ForwardCache,
                         output_grad: np.ndarray) -> tuple[MlpParams, np.ndarray]:
+    """Exact gradients of <output, output_grad> w.r.t. parameters and input."""
     g, _ = _as_batch(output_grad, params.sizes[-1], "output_grad")
     if g.shape[0] != cache.x.shape[0]:
         raise ValueError("output_grad batch size does not match forward input")
@@ -145,19 +146,6 @@ def mlp_input_grad(params: MlpParams, cache: ForwardCache,
         if i > 0:
             upstream = upstream * (cache.pre_activations[i - 1] > 0.0)
     return upstream
-
-
-def mlp_backward(params: MlpParams, x: np.ndarray,
-                 output_grad: np.ndarray) -> tuple[MlpParams, np.ndarray]:
-    """Exact gradients of <output, output_grad> w.r.t. parameters and input.
-
-    Returns a parameter-shaped gradient container and the input gradient
-    with the same rank as ``x``.
-    """
-    x2d, squeeze = _as_batch(x, params.sizes[0], "input")
-    _, cache = mlp_forward_cached(params, x2d)
-    grads, input_grad = mlp_backward_cached(params, cache, output_grad)
-    return grads, (input_grad[0] if squeeze else input_grad)
 
 
 @dataclass
@@ -269,16 +257,3 @@ def finite_diff_check(params: MlpParams, x: np.ndarray, probe_step: float,
                 worst = max(worst, abs(flat_a[idx] - numeric) / denom)
     return worst
 
-
-def save_params(path: str, params: MlpParams) -> None:
-    """Checkpoint as a flat name->array archive; round-trips bit-exactly."""
-    arrays = {name: arr for name, arr in params.named_tensors()}
-    np.savez(path, **arrays)
-
-
-def load_params(path: str) -> MlpParams:
-    with np.load(path) as data:
-        n = len(data.files) // 2
-        weights = [np.asarray(data[f"W{i}"], dtype=np.float64) for i in range(n)]
-        biases = [np.asarray(data[f"b{i}"], dtype=np.float64) for i in range(n)]
-    return MlpParams(weights, biases)

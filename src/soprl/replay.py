@@ -37,7 +37,7 @@ class EreConfig:
 
     def __post_init__(self):
         if not 0.0 < self.eta0 <= 1.0:
-            raise ValueError("eta0 must be in (0, 1]")
+            raise ValueError("eta0: must be in (0, 1]")
 
     def resolved_c_min(self, capacity: int, batch: int = 1) -> int:
         if self.c_min is not None:
@@ -329,11 +329,6 @@ class PerfTracker:
             pos -= 1
         self.i_recent = episode_return - self.returns[pos]
         self.i_max = max(self.i_max, self.i_recent)
-
-
-def tracker_update(tracker: PerfTracker, timestep: int, episode_return: float,
-                   capacity: int) -> None:
-    tracker.update(timestep, episode_return, capacity)
 
 
 def adapt_eta(cfg: EreConfig, tracker: PerfTracker) -> float:

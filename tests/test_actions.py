@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from soprl.actions import (ActionBounds, NoiseConfig, clip_action,
+from soprl.actions import (ActionBounds, clip_action,
                            invert_gradients, normalize_output,
                            normalize_output_vjp, saturation_fraction, squash,
                            squashed_policy_entropy)
@@ -220,9 +220,11 @@ class TestSquashedEntropy:
 
 class TestBoundsAndNoise:
     def test_noise_config_validates(self):
-        assert NoiseConfig().sigma_explore == 0.29
-        with pytest.raises(ValueError):
-            NoiseConfig(sigma_explore=-0.1)
+        from soprl.agent import AgentConfig
+        assert AgentConfig().sigma_explore == 0.29
+        for name in ("sigma_explore", "sigma_target"):
+            with pytest.raises(ValueError, match=name):
+                AgentConfig(**{name: -0.1})
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

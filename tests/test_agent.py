@@ -372,13 +372,6 @@ class TestSoftUpdate:
             gaps.append(1.0 - agent.state.q1_target.biases[-1][0])
         np.testing.assert_allclose(np.diff(np.log(gaps)), np.log(0.9), rtol=1e-9)
 
-    def test_literal_reading_tracks_online_fast(self):
-        agent = make_agent()
-        constant_net(agent.state.q1, 1.0)
-        zero_params(agent.state.q1_target)
-        soft_update_targets(agent.state, tau=0.005, literal=True)
-        assert agent.state.q1_target.biases[-1][0] == pytest.approx(0.995)
-
     def test_target_lag_bound(self):
         agent = make_agent(seed=11)
         prev = agent.state.q1_target.copy()

@@ -3,9 +3,7 @@ import pytest
 
 from soprl import analysis
 from soprl.analysis import (SamplingScenario, count_variances, empirical_counts,
-                            expected_counts, expected_counts_ere,
-                            expected_counts_uniform_empty,
-                            expected_counts_uniform_full, retained_slice)
+                            expected_counts, retained_slice)
 
 
 def harmonic_tail(n):
@@ -16,50 +14,50 @@ def harmonic_tail(n):
 
 class TestUniformEmpty:
     def test_matches_harmonic_formula(self):
-        counts = expected_counts_uniform_empty(1000, 1000)
+        counts = expected_counts(SamplingScenario(1000, 1000, 1.0, "empty"))
         np.testing.assert_allclose(counts, harmonic_tail(1000), rtol=1e-12)
 
     def test_first_and_last_values(self):
-        counts = expected_counts_uniform_empty(1000, 1000)
+        counts = expected_counts(SamplingScenario(1000, 1000, 1.0, "empty"))
         assert counts[-1] == pytest.approx(0.001, abs=1e-15)
         assert counts[0] == pytest.approx(7.4855, abs=1e-4)
 
     def test_strictly_decreasing(self):
-        counts = expected_counts_uniform_empty(500, 500)
+        counts = expected_counts(SamplingScenario(500, 500, 1.0, "empty"))
         assert np.all(np.diff(counts) < 0)
 
     def test_conservation(self):
-        counts = expected_counts_uniform_empty(800, 800)
+        counts = expected_counts(SamplingScenario(800, 800, 1.0, "empty"))
         assert counts.sum() == pytest.approx(800.0, rel=1e-12)
 
 
 class TestUniformFull:
     def test_newest_prefill_counted_once(self):
-        counts = expected_counts_uniform_full(1000, 1000)
+        counts = expected_counts(SamplingScenario(1000, 1000, 1.0, "full"))
         assert counts[999] == pytest.approx(1.0, rel=1e-12)   # newest pre-existing
         assert counts[1999] == 0.0                            # last arrival
 
     def test_new_data_is_linear(self):
         n = 1000
-        counts = expected_counts_uniform_full(n, n)
+        counts = expected_counts(SamplingScenario(n, n, 1.0, "full"))
         new = counts[n:]
         expected = (n - np.arange(1, n + 1)) / n
         np.testing.assert_allclose(new, expected, rtol=1e-12)
 
     def test_conservation_over_all_positions(self):
-        counts = expected_counts_uniform_full(700, 700)
+        counts = expected_counts(SamplingScenario(700, 700, 1.0, "full"))
         assert counts.sum() == pytest.approx(700.0, rel=1e-12)
 
 
 class TestEre:
     def test_eta_one_reduces_to_uniform_bitwise(self):
-        for start, uniform in (("empty", expected_counts_uniform_empty),
-                               ("full", expected_counts_uniform_full)):
-            ere = expected_counts_ere(300, 300, 1.0, start)
-            assert np.array_equal(ere, uniform(300, 300))
+        for start in ("empty", "full"):
+            ere = expected_counts(SamplingScenario(300, 300, 1.0, start, c_min=1))
+            uniform = expected_counts(SamplingScenario(300, 300, 1.0, start))
+            assert np.array_equal(ere, uniform)
 
     def test_nonnegative_and_conserving(self):
-        counts = expected_counts_ere(1000, 1000, 0.996, "full")
+        counts = expected_counts(SamplingScenario(1000, 1000, 0.996, "full"))
         assert np.all(counts >= 0)
         assert counts.sum() == pytest.approx(1000.0, rel=1e-12)
 

@@ -39,6 +39,28 @@ class TestRunCommand:
         assert (out / "seed_2.csv").exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--lr", "-1"], "lr"), (["run", "--lr", "0"], "lr"),
+    (["run", "--buffer", "0"], "buffer"), (["run", "--hidden", "0"], "hidden"),
+    (["run", "--eval-rollouts", "0"], "eval_rollouts"), (["run", "--warmup", "-1"], "warmup"),
+    (["run", "--sigma", "-0.1"], "sigma"), (["run", "--eta0", "1.5"], "eta0"),
+    (["run", "--config", "missing.cfg"], "config"),
+    (["analyze", "counts", "--scheme", "ere_full", "--eta", "1.5"], "eta"),
+    (["analyze", "counts", "--scheme", "uniform_empty", "--buffer", "50",
+      "--updates", "60"], "updates"),
+    (["analyze", "counts", "--scheme", "uniform_full", "--trials", "0"], "trials")])
+def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":
+        argv = [*argv, "--env", "pointmass1d", "--out", "out"]
+    else:
+        argv = [*argv, "--out", "counts.csv"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not any(tmp_path.iterdir())
+
+
 class TestAnalyzeCommand:
     def test_counts_csv_schema(self, tmp_path):
         out = tmp_path / "counts.csv"

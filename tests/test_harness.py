@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soprl.agent import AgentConfig, SopAgent
+from soprl.agent import AgentConfig, SopAgent, evaluate_policy
 from soprl.actions import ActionBounds
 from soprl.envs import make_env
-from soprl.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig, evaluate,
+from soprl.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig, config_defaults,
                            parse_config, run_experiment)
 from soprl.seeds import derive_seed, make_rng
 
@@ -22,14 +22,15 @@ def tiny_overrides(**extra):
 class TestParseConfig:
     def test_reference_defaults(self):
         cfg = parse_config({"env": "pointmass1d"})
-        assert cfg.gamma == 0.99
-        assert cfg.lr == 3e-4
-        assert cfg.sigma == 0.29
-        assert cfg.eta0 == 0.995
-        assert cfg.beta1 == 0.4 and cfg.beta2 == 0.4
-        assert cfg.exp_lambda == 5e-6
+        assert cfg.agent == AgentConfig()
+        assert cfg.agent.gamma == 0.99
+        assert cfg.agent.lr == 3e-4
+        assert cfg.agent.sigma_explore == cfg.agent.sigma_target == 0.29
+        assert cfg.agent.eta0 == 0.995
+        assert cfg.agent.per_beta1 == 0.4 and cfg.agent.per_beta2 == 0.4
+        assert cfg.agent.exp_lambda == 5e-6
         assert cfg.eval_interval == 5000 and cfg.eval_rollouts == 5
-        assert cfg.buffer == 1_000_000
+        assert cfg.agent.buffer_capacity == 1_000_000
 
     def test_missing_env_names_key(self):
         with pytest.raises(ConfigError, match="env"):
@@ -37,8 +38,8 @@ class TestParseConfig:
 
     def test_cli_overrides_apply(self):
         cfg = parse_config({"env": "pointmass1d", "sampler": "ere", "eta0": "0.993"})
-        assert cfg.sampler == "ere"
-        assert cfg.eta0 == 0.993
+        assert cfg.agent.sampler == "ere"
+        assert cfg.agent.eta0 == 0.993
 
     def test_gamma_out_of_range_rejected(self):
         with pytest.raises(ConfigError, match="gamma"):
@@ -54,7 +55,7 @@ class TestParseConfig:
         cfg = parse_config({"sigma": "0.25"}, config_file=path)
         assert cfg.env == "pointmass1d"
         assert cfg.steps == 500
-        assert cfg.sigma == 0.25
+        assert cfg.agent.sigma_explore == cfg.agent.sigma_target == 0.25
 
     def test_file_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -79,6 +80,48 @@ class TestParseConfig:
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigError, match="steps"):
             parse_config({"env": "pointmass1d", "steps": "many"})
+
+
+# one legal non-default value per key, as a file and flag would spell it
+NON_DEFAULT = {"env": "pointmass2d", "steps": "300", "eval_interval": "100",
+               "eval_rollouts": "2", "seeds": "4,5", "out": "runs/x", "walltime": "true",
+               "variant": "sop_ig", "sampler": "per", "gamma": "0.9", "tau": "0.01",
+               "sigma": "0.2", "batch": "32", "lr": "0.001", "hidden": "16",
+               "buffer": "5000", "eta0": "0.99", "beta1": "0.5", "beta2": "0.6",
+               "exp_lambda": "1e-05", "warmup": "10"}
+
+
+class TestConfigSurface:
+    def test_every_key_has_a_non_default_case(self):
+        assert set(NON_DEFAULT) == set(config_defaults())
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_file_key_and_flag_agree(self, key, tmp_path):
+        from soprl.cli import _build_parser
+        base = {"env": "pointmass1d"} if key != "env" else {}
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in {**base, key: NON_DEFAULT[key]}.items()))
+        from_file = parse_config({}, config_file=path)
+        assert from_file != parse_config(base or {"env": "pointmass1d"})
+        for flag in dict.fromkeys([f"--{key}", f"--{key.replace('_', '-')}"]):
+            argv = [flag] if key == "walltime" else [flag, NON_DEFAULT[key]]
+            args = _build_parser().parse_args(
+                ["run", *[tok for k, v in base.items() for tok in (f"--{k}", v)], *argv])
+            assert parse_config({k: getattr(args, k) for k in config_defaults()}) == from_file
+
+    def test_hand_written_flag_spellings_still_parse(self):
+        from soprl.cli import _build_parser
+        old = ["--env", "--variant", "--sampler", "--steps", "--seeds", "--out",
+               "--eval-interval", "--eval-rollouts", "--gamma", "--tau", "--sigma", "--lr",
+               "--eta0", "--beta1", "--beta2", "--exp_lambda", "--batch", "--hidden",
+               "--buffer", "--warmup"]
+        argv = [tok for flag in old for tok in (flag, NON_DEFAULT[flag[2:].replace("-", "_")])]
+        args = _build_parser().parse_args(["run", *argv, "--walltime"])
+        assert all(getattr(args, key) is not None for key in config_defaults())
+
+    def test_non_string_overrides_pass_through(self):
+        cfg = parse_config({"env": "pointmass1d", "seeds": (1,), "hidden": 16})
+        assert cfg.seeds == (1,) and cfg.agent.hidden_dim == 16
 
 
 class TestRunExperiment:
@@ -160,7 +203,7 @@ class TestEvaluate:
                           ere_c_min=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
         env = make_env("pointmass1d")
-        mean, std = evaluate(agent, env, rollouts=1, seed=3)
+        mean, std, _ = evaluate_policy(agent, env, rollouts=1, seed=3)
         assert std == 0.0
 
     def test_zero_policy_from_half_start(self):
@@ -174,7 +217,7 @@ class TestEvaluate:
             def _initial_state(self, rng):
                 return np.array([0.5])
 
-        mean, std = evaluate(agent, FixedStart(), rollouts=3, seed=1)
+        mean, std, _ = evaluate_policy(agent, FixedStart(), rollouts=3, seed=1)
         assert mean == pytest.approx(-50 * 0.25)
         assert std == 0.0
 
@@ -183,7 +226,7 @@ class TestEvaluate:
                           ere_c_min=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
         env = make_env("pointmass1d")
-        mean, std = evaluate(agent, env, rollouts=5, seed=2)
+        mean, std, _ = evaluate_policy(agent, env, rollouts=5, seed=2)
         assert std > 0.0  # different starts produce different returns
 
     def test_rollout_count_validated(self):
@@ -191,7 +234,7 @@ class TestEvaluate:
                           ere_c_min=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
         with pytest.raises(ValueError):
-            evaluate(agent, make_env("pointmass1d"), rollouts=0, seed=0)
+            evaluate_policy(agent, make_env("pointmass1d"), rollouts=0, seed=0)
 
 
 class TestSeedDerivation:

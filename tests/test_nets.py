@@ -11,6 +11,11 @@ def make_params(weights, biases):
                           [np.asarray(b, dtype=float) for b in biases])
 
 
+def backward(params, x, output_grad):
+    _, cache = nets.mlp_forward_cached(params, x)
+    return nets.mlp_backward_cached(params, cache, output_grad)
+
+
 def finite_diff_grads(params, x, output_grad, h=1e-6):
     """Independent oracle: central differences of <output, output_grad>."""
     grads = nets.zeros_like_params(params)
@@ -80,8 +85,7 @@ class TestBackward:
     def test_zero_cotangent_gives_zero_gradients(self):
         rng = np.random.default_rng(2)
         params = nets.init_mlp(4, 8, 3, rng)
-        grads, input_grad = nets.mlp_backward(params, rng.standard_normal(4),
-                                              np.zeros(3))
+        grads, input_grad = backward(params, rng.standard_normal(4), np.zeros(3))
         for _, arr in grads.named_tensors():
             assert not arr.any()
         assert not input_grad.any()
@@ -93,7 +97,7 @@ class TestBackward:
         x = rng.standard_normal(3)
         g = rng.standard_normal(2)
         params = make_params([w], [np.zeros(2)])
-        grads, input_grad = nets.mlp_backward(params, x, g)
+        grads, input_grad = backward(params, x, g)
         assert np.allclose(grads.weights[0], np.outer(x, g))
         assert np.allclose(input_grad, w @ g)
 
@@ -102,7 +106,7 @@ class TestBackward:
         params = nets.init_mlp(3, 6, 2, rng)
         x = rng.standard_normal((4, 3))
         g = rng.standard_normal((4, 2))
-        analytic, _ = nets.mlp_backward(params, x, g)
+        analytic, _ = backward(params, x, g)
         numeric = finite_diff_grads(params, x, g)
         for (_, a), (_, n) in zip(analytic.named_tensors(), numeric.named_tensors()):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-12)
@@ -111,8 +115,7 @@ class TestBackward:
     def test_shape_closure(self):
         rng = np.random.default_rng(5)
         params = nets.init_mlp(5, 7, 3, rng)
-        grads, _ = nets.mlp_backward(params, rng.standard_normal(5),
-                                     rng.standard_normal(3))
+        grads, _ = backward(params, rng.standard_normal(5), rng.standard_normal(3))
         for (_, p), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
             assert p.shape == g.shape
 
@@ -221,14 +224,21 @@ class TestDeterminismAndCheckpoint:
         assert np.array_equal(nets.mlp_forward(a, x), nets.mlp_forward(b, x))
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        params = nets.init_mlp(4, 8, 2, rng)
-        path = str(tmp_path / "params.npz")
-        nets.save_params(path, params)
-        loaded = nets.load_params(path)
-        for (na, a), (nb, b) in zip(params.named_tensors(), loaded.named_tensors()):
-            assert na == nb
-            assert np.array_equal(a, b)
+        from soprl.actions import ActionBounds
+        from soprl.agent import AgentConfig, SopAgent, load_agent_params, save_agent
+        agent = SopAgent(3, 2, ActionBounds.symmetric(1.0, 2),
+                         AgentConfig(buffer_capacity=2000, hidden_dim=8), seed=12)
+        for _, arr in agent.state.q2_target.named_tensors():
+            arr += 0.1  # every net distinct
+        path = str(tmp_path / "agent.npz")
+        save_agent(path, agent)
+        loaded = load_agent_params(path)
+        for role in ("policy", "q1", "q2", "q1_target", "q2_target"):
+            params = getattr(agent.state, role)
+            for (na, a), (nb, b) in zip(params.named_tensors(),
+                                        loaded[role].named_tensors()):
+                assert na == nb
+                assert np.array_equal(a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -237,8 +247,7 @@ class TestDeterminismAndCheckpoint:
 def test_backward_shapes_congruent_for_any_architecture(din, hidden, dout, seed):
     rng = np.random.default_rng(seed)
     params = nets.init_mlp(din, hidden, dout, rng)
-    grads, input_grad = nets.mlp_backward(params, rng.standard_normal(din),
-                                          rng.standard_normal(dout))
+    grads, input_grad = backward(params, rng.standard_normal(din), rng.standard_normal(dout))
     for (_, p), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
         assert p.shape == g.shape
-    assert input_grad.shape == (din,)
+    assert input_grad.shape == (1, din)

@@ -7,7 +7,7 @@ from soprl.replay import (EreConfig, PerfTracker, ReplayBuffer, SumTree,
                           Transition, adapt_eta, ere_range,
                           exponential_segment_masses, per_sample,
                           per_update_priorities, sample_ere,
-                          sample_exponential, sample_uniform, tracker_update)
+                          sample_exponential, sample_uniform)
 
 
 def trans(i, state_dim=1, action_dim=1):
@@ -371,20 +371,20 @@ class TestTrackerAndAdaptiveEta:
     def test_constant_returns_zero_improvement(self):
         tr = PerfTracker()
         for step in range(0, 1200, 100):
-            tracker_update(tr, step, 5.0, capacity=1000)
+            tr.update(step, 5.0, capacity=1000)
         assert tr.i_recent == 0.0
 
     def test_linear_ramp_constant_improvement(self):
         tr = PerfTracker()
         for step in range(0, 2100, 100):
-            tracker_update(tr, step, float(step), capacity=1000)
+            tr.update(step, float(step), capacity=1000)
         assert tr.i_recent == pytest.approx(500.0)
         assert tr.i_max == pytest.approx(500.0)
 
     def test_warmup_returns_eta0(self):
         tr = PerfTracker()
         cfg = EreConfig(eta0=0.995)
-        tracker_update(tr, 100, 1.0, capacity=1000)
+        tr.update(100, 1.0, capacity=1000)
         assert tr.i_recent is None
         assert adapt_eta(cfg, tr) == 0.995
 
@@ -409,7 +409,7 @@ class TestTrackerAndAdaptiveEta:
         rng = np.random.default_rng(0)
         prev_max = 0.0
         for i, step in enumerate(range(0, 5000, 50)):
-            tracker_update(tr, step, float(rng.standard_normal()), capacity=1000)
+            tr.update(step, float(rng.standard_normal()), capacity=1000)
             assert tr.i_max >= prev_max
             prev_max = tr.i_max
             if tr.i_recent is not None:
@@ -417,9 +417,9 @@ class TestTrackerAndAdaptiveEta:
 
     def test_nonmonotone_timestep_rejected(self):
         tr = PerfTracker()
-        tracker_update(tr, 100, 1.0, capacity=1000)
+        tr.update(100, 1.0, capacity=1000)
         with pytest.raises(ValueError):
-            tracker_update(tr, 50, 1.0, capacity=1000)
+            tr.update(50, 1.0, capacity=1000)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-5, 5), st.floats(0.01, 5), st.floats(0.9, 1.0))
