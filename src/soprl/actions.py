@@ -140,13 +140,16 @@ def clip_action(a: np.ndarray, bounds: ActionBounds) -> np.ndarray:
 
 def saturation_fraction(actions: np.ndarray, bounds: ActionBounds,
                         near: float = 0.99) -> float:
-    """Fraction of action components within ``near`` of the bound magnitude."""
+    """Fraction of action components at least ``near`` of the half range
+    away from the box center, per dimension."""
     if not 0.0 < near < 1.0:
         raise ValueError("near must be in (0, 1)")
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     if actions.size == 0:
         raise ValueError("empty action batch")
-    return float(np.mean(np.abs(actions) >= near * bounds.scale))
+    center = (bounds.high + bounds.low) / 2.0
+    half_range = (bounds.high - bounds.low) / 2.0
+    return float(np.mean(np.abs(actions - center) >= near * half_range))
 
 
 def _log_sech2(u: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ class AgentConfig:
         """Every message starts with the offending field's name and a colon."""
         checks = (("gamma", 0.0 < self.gamma < 1.0, "must be in (0, 1)"),
                   ("tau", 0.0 < self.tau <= 1.0, "must be in (0, 1]"),
-                  ("sigma_explore", self.sigma_explore >= 0.0, "must be >= 0"),
+                  ("sigma_explore", self.sigma_explore > 0.0, "must be > 0"),
                   ("sigma_target", self.sigma_target >= 0.0, "must be >= 0"),
                   ("lr", self.lr > 0.0, "must be > 0"),
                   ("batch_size", self.batch_size >= 1, "must be >= 1"),
@@ -115,10 +115,8 @@ def soft_update_targets(state: AgentState, tau: float) -> None:
     """Polyak-average online parameters into the targets:
     target <- (1 - tau) * target + tau * online."""
     for online, target in ((state.q1, state.q1_target), (state.q2, state.q2_target)):
-        for tensors in ("weights", "biases"):
-            for src, dst in zip(getattr(online, tensors), getattr(target, tensors)):
-                dst *= 1.0 - tau
-                dst += tau * src
+        target.flat *= 1.0 - tau
+        target.flat += tau * online.flat
 
 
 class SopAgent:
@@ -242,9 +240,7 @@ class SopAgent:
     def policy_update(self, batch: dict[str, np.ndarray]) -> float:
         """One Adam ascent step on the policy; Q parameters are untouched."""
         objective, grads = self.policy_objective_and_grads(batch)
-        for tensors in ("weights", "biases"):
-            for g in getattr(grads, tensors):
-                np.negative(g, out=g)  # adam minimizes; flip to ascend
+        np.negative(grads.flat, out=grads.flat)  # adam minimizes; flip to ascend
         nets.adam_step(self.state.policy_adam, self.state.policy, grads,
                        self.cfg.lr)
         return objective

@@ -3,15 +3,26 @@
 The policy and both Q functions are two-hidden-layer ReLU MLPs with a
 linear output.  Parameters live in plain float64 numpy arrays so that the
 backward pass can be written out exactly and checked against central
-finite differences.  The Adam optimizer keeps its moments in the same
-layout as the parameters.
+finite differences.  Each network's weights and biases are views into one
+contiguous ``flat`` vector; gradients and the Adam moments share that
+layout, so the optimizer and the Polyak average are whole-vector ops.
 
 Inputs may be a single vector ``(d,)`` or a batch ``(B, d)``; outputs match
 the input rank.
+
+A cached forward writes the hidden activations into buffers the network
+keeps per batch size; uncached forwards and the backward passes work in two
+scratch buffers per shape that all networks of a thread share.  A
+steady-state update therefore allocates nothing of batch size.  The cache a
+cached forward returns points into the network's buffers: it is valid until
+the next cached forward of the same params object.  Uncached forwards
+(``mlp_forward``), batches of another size and passes of other networks
+leave it intact.  Outputs, gradients and input gradients are fresh arrays.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +34,31 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class MlpParams:
-    """Per-layer weights and biases.
+    """Per-layer weights and biases, as views into one flat vector.
 
     ``weights[i]`` has shape (fan_in, fan_out); hidden layers use ReLU, the
     final layer is linear.  The same container is reused for gradients and
-    Adam moments, which makes shape congruence automatic.
+    Adam moments, which makes shape congruence automatic.  The given arrays
+    are copied into ``flat`` (order W0, b0, W1, b1, ...); when ``flat`` is
+    given instead, they only supply the shapes of the views into it.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False)
+    # hidden-activation buffers of cached forwards, by batch rows
+    _acts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tensors = [t for pair in zip(self.weights, self.biases) for t in pair]
+        if self.flat is None:
+            self.flat = np.concatenate([np.ravel(np.asarray(t, dtype=np.float64))
+                                        for t in tensors])
+        views, offset = [], 0
+        for t in tensors:
+            views.append(self.flat[offset:offset + np.size(t)].reshape(np.shape(t)))
+            offset += np.size(t)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -42,7 +69,7 @@ class MlpParams:
         return len(self.weights)
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpParams(self.weights, self.biases, self.flat.copy())
 
     def named_tensors(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -50,9 +77,16 @@ class MlpParams:
             yield f"b{i}", b
 
     def check_finite(self, what: str = "parameter") -> None:
+        if np.isfinite(self.flat).all():
+            return
         for name, arr in self.named_tensors():
             if not np.all(np.isfinite(arr)):
                 raise FloatingPointError(f"non-finite {what} in tensor {name}")
+
+    def _hidden_buffers(self, rows: int) -> list[np.ndarray]:
+        if rows not in self._acts:
+            self._acts[rows] = [np.empty((rows, w.shape[1])) for w in self.weights[:-1]]
+        return self._acts[rows]
 
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
@@ -71,8 +105,7 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
 
 
 def zeros_like_params(params: MlpParams) -> MlpParams:
-    return MlpParams([np.zeros_like(w) for w in params.weights],
-                     [np.zeros_like(b) for b in params.biases])
+    return MlpParams(params.weights, params.biases, np.zeros_like(params.flat))
 
 
 def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -87,35 +120,79 @@ def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> tuple[np.ndarray, 
 
 @dataclass
 class ForwardCache:
-    """Activations saved by a forward pass, consumed by the backward pass."""
+    """Input and hidden activations of a forward pass, for the backward pass.
+
+    ``hidden`` holds the network's own buffers (see the module docstring).
+    """
 
     x: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
-    hidden: list[np.ndarray] = field(default_factory=list)
-    output: np.ndarray | None = None
+    hidden: list[np.ndarray]
 
 
-def mlp_forward_cached(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+class _Scratch(threading.local):
+    """Two buffers per shape, shared by the uncached forward and backward
+    passes of one thread; their contents never outlive a call."""
+
+    def __init__(self):
+        self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch(shape: tuple[int, int], avoid: np.ndarray) -> np.ndarray:
+    """The shared buffer of ``shape`` that is not ``avoid``."""
+    pair = _SCRATCH.pairs.get(shape)
+    if pair is None:
+        pair = _SCRATCH.pairs[shape] = (np.empty(shape), np.empty(shape))
+    return pair[1] if avoid is pair[0] else pair[0]
+
+
+def mlp_forward_cached(params: MlpParams, x: np.ndarray, *,
+                       keep: bool = True) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass; the cache stays valid until the next cached forward of
+    ``params``.  With ``keep=False`` the activations go to shared scratch
+    instead, and the cache only lasts until the next pass of any network."""
     x2d, _ = _as_batch(x, params.sizes[0], "input")
-    cache = ForwardCache(x=x2d)
-    h = x2d
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        if i < last:
-            cache.pre_activations.append(z)
-            h = np.maximum(z, 0.0)
-            cache.hidden.append(h)
-        else:
-            cache.output = z
-    return cache.output, cache
+    rows = x2d.shape[0]
+    kept = params._hidden_buffers(rows) if keep else None
+    hidden, h = [], x2d
+    for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        buf = kept[i] if keep else _scratch((rows, w.shape[1]), h)
+        np.matmul(h, w, out=buf)
+        buf += b
+        h = np.maximum(buf, 0.0, out=buf)
+        hidden.append(h)
+    out = h @ params.weights[-1]
+    out += params.biases[-1]
+    return out, ForwardCache(x2d, hidden)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; deterministic, float64."""
+    """Evaluate the network; deterministic, float64.  Leaves the cache of the
+    last cached forward of ``params`` valid."""
     x2d, squeeze = _as_batch(x, params.sizes[0], "input")
-    y, _ = mlp_forward_cached(params, x2d)
+    y, _ = mlp_forward_cached(params, x2d, keep=False)
     return y[0] if squeeze else y
+
+
+def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
+              grads: MlpParams | None) -> np.ndarray:
+    """Carry ``upstream`` from the output back to the input, writing the
+    parameter gradients into ``grads`` when it is given; the ReLU mask of a
+    hidden layer is ``h > 0``, which equals ``z > 0``."""
+    for i in range(params.n_layers - 1, -1, -1):
+        if grads is not None:
+            inp = cache.x if i == 0 else cache.hidden[i - 1]
+            np.matmul(inp.T, upstream, out=grads.weights[i])
+            np.sum(upstream, axis=0, out=grads.biases[i])
+        if i == 0:
+            return upstream @ params.weights[0].T
+        h = cache.hidden[i - 1]
+        buf = _scratch(h.shape, upstream)
+        np.matmul(upstream, params.weights[i].T, out=buf)
+        buf *= h > 0.0
+        upstream = buf
 
 
 def mlp_backward_cached(params: MlpParams, cache: ForwardCache,
@@ -125,27 +202,13 @@ def mlp_backward_cached(params: MlpParams, cache: ForwardCache,
     if g.shape[0] != cache.x.shape[0]:
         raise ValueError("output_grad batch size does not match forward input")
     grads = zeros_like_params(params)
-    last = params.n_layers - 1
-    upstream = g
-    for i in range(last, -1, -1):
-        inp = cache.x if i == 0 else cache.hidden[i - 1]
-        grads.weights[i][...] = inp.T @ upstream
-        grads.biases[i][...] = upstream.sum(axis=0)
-        upstream = upstream @ params.weights[i].T
-        if i > 0:
-            upstream = upstream * (cache.pre_activations[i - 1] > 0.0)
-    return grads, upstream
+    return grads, _backprop(params, cache, g, grads)
 
 
 def mlp_input_grad(params: MlpParams, cache: ForwardCache,
                    output_grad: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the input only; skips the parameter gradients."""
-    upstream = output_grad
-    for i in range(params.n_layers - 1, -1, -1):
-        upstream = upstream @ params.weights[i].T
-        if i > 0:
-            upstream = upstream * (cache.pre_activations[i - 1] > 0.0)
-    return upstream
+    return _backprop(params, cache, output_grad, None)
 
 
 @dataclass
@@ -168,18 +231,16 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams,
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for tensors in ("weights", "biases"):
-        for p, g, m, v in zip(getattr(params, tensors), getattr(grads, tensors),
-                              getattr(state.m, tensors), getattr(state.v, tensors)):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v, g = state.m.flat, state.v.flat, grads.flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(g)
+    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
-def _kink_safe_units(params: MlpParams, cache: ForwardCache,
+def _kink_safe_units(params: MlpParams, x2d: np.ndarray,
                      probe_step: float) -> list[np.ndarray]:
     """Per-layer boolean mask over output units: safe to probe their coords.
 
@@ -188,10 +249,15 @@ def _kink_safe_units(params: MlpParams, cache: ForwardCache,
     coordinate of layer i feeds unit j of that layer directly and every
     pre-activation further downstream, so it is safe when |z_i[:, j]| and all
     deeper pre-activations clear the margin.  The output layer has no
-    downstream kinks and is always safe.
+    downstream kinks and is always safe.  The forward pass keeps no
+    pre-activations, so they are recomputed here.
     """
     margin = 10.0 * probe_step
-    unit_min = [np.min(np.abs(z), axis=0) for z in cache.pre_activations]
+    pre_activations, h = [], x2d
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        pre_activations.append(h @ w + b)
+        h = np.maximum(pre_activations[-1], 0.0)
+    unit_min = [np.min(np.abs(z), axis=0) for z in pre_activations]
     layer_min = [float(np.min(m)) for m in unit_min]
     masks = []
     for i in range(params.n_layers):
@@ -222,14 +288,13 @@ def finite_diff_check(params: MlpParams, x: np.ndarray, probe_step: float,
     x2d, _ = _as_batch(x, params.sizes[0], "input")
     if output_grad is None:
         output_grad = np.ones((x2d.shape[0], params.sizes[-1]))
-    _, cache = mlp_forward_cached(params, x2d)
     if analytic is None:
+        _, cache = mlp_forward_cached(params, x2d)
         analytic, _ = mlp_backward_cached(params, cache, output_grad)
-    safe_units = _kink_safe_units(params, cache, probe_step)
+    safe_units = _kink_safe_units(params, x2d, probe_step)
 
     def objective() -> float:
-        y, _ = mlp_forward_cached(params, x2d)
-        return float(np.sum(y * output_grad))
+        return float(np.sum(mlp_forward(params, x2d) * output_grad))
 
     worst = 0.0
     for tensors in ("weights", "biases"):

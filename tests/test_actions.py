@@ -161,6 +161,14 @@ class TestClipAndSaturation:
         shuffled = acts[rng.permutation(20)]
         assert saturation_fraction(acts, b) == saturation_fraction(shuffled, b)
 
+    def test_saturation_measured_from_center_of_asymmetric_box(self):
+        # box [0, 2] x [-1, 3]: centers (1, 1), half ranges (1, 2)
+        b = ActionBounds(np.array([0.0, -1.0]), np.array([2.0, 3.0]))
+        acts = np.array([[0.0, 1.0], [2.0, 2.5], [1.0, 3.0], [1.5, -0.99]])
+        # saturated: 0.0 and 2.0 (first dim), 3.0 and -0.99 (second dim)
+        assert saturation_fraction(acts, b) == 0.5
+        assert saturation_fraction(np.ones((3, 2)), b) == 0.0
+
     def test_empty_batch_rejected(self):
         b = ActionBounds.symmetric(1.0, 1)
         with pytest.raises(ValueError):
@@ -225,6 +233,12 @@ class TestBoundsAndNoise:
         for name in ("sigma_explore", "sigma_target"):
             with pytest.raises(ValueError, match=name):
                 AgentConfig(**{name: -0.1})
+
+    def test_sigma_explore_must_be_positive(self):
+        from soprl.agent import AgentConfig
+        with pytest.raises(ValueError, match="sigma_explore"):
+            AgentConfig(sigma_explore=0.0)
+        assert AgentConfig(sigma_target=0.0).sigma_target == 0.0
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from soprl import nets
 from soprl.actions import ActionBounds
 from soprl.agent import (AgentConfig, SopAgent, load_agent_params, save_agent,
                          soft_update_targets, train)
-from soprl.envs import make_env
+from soprl.envs import PointMass1D, make_env
 
 
 def desk_cfg(**overrides):
@@ -444,6 +445,25 @@ class TestTrain:
                               eval_interval=100)
         assert agent.state.updates > 0
 
+    def test_ig_variant_evaluates_on_asymmetric_box(self):
+        class ShiftedPointMass(PointMass1D):
+            """pointmass1d whose action box is [0, 2], moved by a - 1."""
+
+            def __init__(self):
+                super().__init__()
+                self.spec = dataclasses.replace(self.spec,
+                                                bounds=ActionBounds([0.0], [2.0]))
+
+            def _transition(self, state, action, t):
+                return super()._transition(state, 0.1 * (action - 1.0), t)
+
+        record, agent = train(ShiftedPointMass(), desk_cfg(variant="sop_ig"), 200,
+                              seed=1, eval_interval=100)
+        assert agent.state.updates > 0 and len(record.rows) == 2
+        for row in record.rows:
+            assert 0.0 <= row.saturation_fraction <= 1.0
+            assert np.isfinite(row.entropy_estimate)
+
     def test_eta_column_only_for_ere(self):
         env = make_env("pointmass1d")
         rec_u, _ = train(env, desk_cfg(), 150, seed=1, eval_interval=100)
@@ -463,3 +483,28 @@ class TestCheckpoint:
         assert params_equal(loaded["policy"], agent.state.policy)
         assert params_equal(loaded["q1_target"], agent.state.q1_target)
         assert loaded["counters"][0] == agent.state.env_steps
+
+
+@pytest.mark.parametrize("variant", ["sop", "sop_ig"])
+def test_warm_update_allocates_nothing_of_batch_size(variant):
+    """A 256x64 float64 activation is 128 KiB; a warm update at the desk size
+    keeps its transient heap peak below two of them."""
+    cfg = AgentConfig(variant=variant, batch_size=256, hidden_dim=64,
+                      buffer_capacity=20_000)
+    agent = make_agent(cfg, state_dim=2, action_dim=2, scale=0.1)
+    batch = batch_of(256, state_dim=2, action_dim=2, seed=5)
+
+    def update():
+        agent.q_update(batch, agent.compute_q_targets(batch))
+        agent.policy_update(batch)
+        soft_update_targets(agent.state, cfg.tau)
+
+    update()  # makes the activation buffers
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        update()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024

@@ -48,7 +48,8 @@ class TestRunCommand:
     (["analyze", "counts", "--scheme", "ere_full", "--eta", "1.5"], "eta"),
     (["analyze", "counts", "--scheme", "uniform_empty", "--buffer", "50",
       "--updates", "60"], "updates"),
-    (["analyze", "counts", "--scheme", "uniform_full", "--trials", "0"], "trials")])
+    (["analyze", "counts", "--scheme", "uniform_full", "--trials", "0"], "trials"),
+    (["run", "--sigma", "0"], "sigma")])
 def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.chdir(tmp_path)

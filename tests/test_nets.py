@@ -129,6 +129,80 @@ class TestBackward:
         assert np.array_equal(nets.mlp_input_grad(params, cache, g), full)
 
 
+class TestCacheContract:
+    """A cache is valid until the next cached forward of the same params."""
+
+    def test_cache_survives_other_passes(self):
+        rng = np.random.default_rng(12)
+        params = nets.init_mlp(3, 8, 2, rng)
+        other = nets.init_mlp(3, 8, 2, rng)
+        x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        _, cache = nets.mlp_forward_cached(params, x)
+        _, other_cache = nets.mlp_forward_cached(other, rng.standard_normal((5, 3)))
+        nets.mlp_backward_cached(other, other_cache, g)
+        nets.mlp_input_grad(other, other_cache, g)
+        nets.mlp_forward(other, rng.standard_normal((5, 3)))
+        nets.mlp_forward(params, rng.standard_normal((5, 3)))
+        nets.mlp_forward_cached(params, rng.standard_normal(3))
+        grads, input_grad = nets.mlp_backward_cached(params, cache, g)
+        input_only = nets.mlp_input_grad(params, cache, g)
+        expected, expected_input = backward(params.copy(), x, g)
+        assert np.array_equal(grads.flat, expected.flat)
+        assert np.array_equal(input_grad, expected_input)
+        assert np.array_equal(input_only, expected_input)
+
+    def test_outputs_and_gradients_are_fresh_arrays(self):
+        rng = np.random.default_rng(13)
+        params = nets.init_mlp(3, 8, 2, rng)
+        x, g = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        y1, cache = nets.mlp_forward_cached(params, x)
+        grads1, input1 = nets.mlp_backward_cached(params, cache, g)
+        kept = y1.copy(), grads1.flat.copy(), input1.copy()
+        y2, cache = nets.mlp_forward_cached(params, x + 1.0)
+        nets.mlp_backward_cached(params, cache, g)
+        nets.mlp_forward(params, x - 1.0)
+        assert np.array_equal(y1, kept[0]) and not np.array_equal(y1, y2)
+        assert np.array_equal(grads1.flat, kept[1])
+        assert np.array_equal(input1, kept[2])
+
+    @pytest.mark.parametrize("build", ["init_mlp", "copy", "zeros_like_params", "lists",
+                                       "adam_moment", "load_agent_params"])
+    def test_tensors_are_views_of_flat(self, build, tmp_path):
+        params = nets.init_mlp(3, 5, 2, np.random.default_rng(14))
+        if build == "copy":
+            params = params.copy()
+        elif build == "zeros_like_params":
+            params = nets.zeros_like_params(params)
+        elif build == "lists":
+            params = make_params([w.copy() for w in params.weights],
+                                 [b.copy() for b in params.biases])
+        elif build == "adam_moment":
+            params = nets.AdamState.for_params(params).v
+        elif build == "load_agent_params":
+            from soprl.actions import ActionBounds
+            from soprl.agent import AgentConfig, SopAgent, load_agent_params, save_agent
+            agent = SopAgent(3, 2, ActionBounds.symmetric(1.0, 2),
+                             AgentConfig(buffer_capacity=2000, hidden_dim=5), seed=14)
+            save_agent(str(tmp_path / "agent.npz"), agent)
+            params = load_agent_params(str(tmp_path / "agent.npz"))["q1_target"]
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        offset = 0
+        for _, arr in params.named_tensors():
+            assert arr.base is params.flat
+            assert arr.ctypes.data == params.flat.ctypes.data + 8 * offset
+            offset += arr.size
+        assert offset == params.flat.size
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.weights[0][0, 1] == 1.0 and params.biases[-1][-1] == offset - 1
+
+    def test_copy_owns_its_memory(self):
+        params = nets.init_mlp(3, 5, 2, np.random.default_rng(15))
+        twin = params.copy()
+        assert not np.shares_memory(params.flat, twin.flat)
+        twin.flat += 1.0
+        assert np.array_equal(params.flat + 1.0, twin.flat)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         rng = np.random.default_rng(7)
@@ -209,6 +283,19 @@ class TestFiniteDiffCheck:
         analytic.weights[2][idx] *= 2.0
         err = nets.finite_diff_check(params, x, 1e-5, analytic=analytic)
         assert err > 0.3
+
+    def test_corrupted_hidden_layer_gradient_is_detected(self):
+        # the kink mask recomputes the pre-activations; a hidden-layer
+        # coordinate must still be probed
+        rng = np.random.default_rng(16)
+        params = nets.init_mlp(3, 6, 1, rng)
+        x = rng.standard_normal((4, 3))
+        assert nets.finite_diff_check(params, x, 1e-5) < 1e-4
+        analytic, _ = backward(params, x, np.ones((4, 1)))
+        idx = np.unravel_index(np.argmax(np.abs(analytic.weights[0])),
+                               analytic.weights[0].shape)
+        analytic.weights[0][idx] *= 2.0
+        assert nets.finite_diff_check(params, x, 1e-5, analytic=analytic) > 0.3
 
     def test_rejects_nonpositive_probe(self):
         params = nets.init_mlp(2, 4, 1, np.random.default_rng(0))
