@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,11 +44,11 @@ class AgentConfig:
     ere_c_min: int | None = None
     per_beta1: float = 0.4
     per_beta2: float = 0.4
-    per_priority_floor: float = 1e-6
-    per_max_priority_init: bool = True
-    per_normalize_weights: bool = True
     exp_lambda: float = 5e-6
     warmup_steps: int = 1000
+    per_priority_floor: ClassVar[float] = 1e-6
+    per_max_priority_init: ClassVar[bool] = True
+    per_normalize_weights: ClassVar[bool] = True
 
     def __post_init__(self):
         """Every message starts with the offending field's name and a colon."""
@@ -375,8 +376,7 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
             s2, r, done = env.step(a)
             slot = buffer.push(Transition(s, a, r, s2, done))
             if tree is not None:
-                prio = tree.max_raw_priority if cfg.per_max_priority_init else 1.0
-                tree.set_raw(np.array([slot]), np.array([prio]))
+                tree.set_raw(np.array([slot]), np.array([tree.max_raw_priority]))
             s = s2
             ep_return += r
             ep_len += 1

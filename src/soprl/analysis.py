@@ -56,6 +56,8 @@ class SamplingScenario:
             raise ValueError("updates: an empty start needs updates <= capacity")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta: must be in (0, 1]")
+        if self.c_min < 1:
+            raise ValueError("c_min: must be >= 1")
 
     @property
     def n_positions(self) -> int:
@@ -84,30 +86,25 @@ class SamplingScenario:
         return hi - w + 1, hi
 
 
-def probability_matrix(scn: SamplingScenario) -> np.ndarray:
-    """Dense per-update draw probabilities, shape (updates, n_positions).
-
-    Row k holds 1/w_k inside that update's window and 0 elsewhere.  Memory
-    grows as updates * (capacity + updates); intended for analysis-scale
-    scenarios (about 10^3), not production buffers.
-    """
+def _window_sums(scn: SamplingScenario, value_of_p) -> np.ndarray:
+    """Sum, in update order, of value_of_p(1/w_k) over each window k's positions:
+    bitwise the column sums of the dense (updates, n_positions) form."""
     lo, hi = scn.window_bounds()
-    w = (hi - lo + 1).astype(np.float64)
-    p = np.zeros((scn.updates, scn.n_positions))
+    values = value_of_p(1.0 / (hi - lo + 1).astype(np.float64))
+    total = np.zeros(scn.n_positions)
     for k in range(scn.updates):
-        p[k, lo[k]:hi[k] + 1] = 1.0 / w[k]
-    return p
+        total[lo[k]:hi[k] + 1] += values[k]
+    return total
 
 
 def expected_counts(scn: SamplingScenario) -> np.ndarray:
     """Exact expected number of draws per data position."""
-    return probability_matrix(scn).sum(axis=0)
+    return _window_sums(scn, lambda p: p)
 
 
 def count_variances(scn: SamplingScenario) -> np.ndarray:
     """Exact per-position variance of the count over one scenario run."""
-    p = probability_matrix(scn)
-    return (p * (1.0 - p)).sum(axis=0)
+    return _window_sums(scn, lambda p: p * (1.0 - p))
 
 
 def retained_slice(scn: SamplingScenario) -> slice:
@@ -137,8 +134,3 @@ def empirical_counts(scn: SamplingScenario, trials: int,
     sigma = np.sqrt(count_variances(scn) / trials)
     return totals / trials, sigma
 
-
-def mu_trace(record) -> np.ndarray:
-    """Per-checkpoint (step, mean |mu| pre-norm, saturation fraction) rows."""
-    return np.array([(row.step, row.mean_abs_mu_pre_norm, row.saturation_fraction)
-                     for row in record.rows])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -47,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_error(exc: ValueError) -> int:
-    print(f"config error: {exc}", file=sys.stderr)
+def _config_error(message: object) -> int:
+    print(f"config error: {message}", file=sys.stderr)
     return 2
 
 
@@ -56,9 +55,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key) for key in config_defaults()}
     try:
         cfg = parse_config(overrides, config_file=args.config)
+        summary = run_experiment(cfg)  # refuses an unwritable out before training
     except ConfigError as exc:
         return _config_error(exc)
-    summary = run_experiment(cfg)
     for seed in cfg.seeds:
         if seed in summary.failures:
             print(f"seed {seed}: FAILED ({summary.failures[seed]})")
@@ -78,17 +77,18 @@ def _cmd_counts(args: argparse.Namespace) -> int:
         scn = SamplingScenario(args.buffer, args.updates, eta, start)
         if args.trials < 1:
             raise ValueError("trials: must be >= 1")
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
     except ValueError as exc:
         return _config_error(exc)
-    analytic = analysis.expected_counts(scn)
-    empirical, sigma = analysis.empirical_counts(scn, args.trials,
-                                                 make_rng(args.seed, "counts"))
-    rows = zip(range(scn.n_positions), analytic, empirical, sigma)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        return _config_error(f"out: {exc}")
     try:
+        analytic = analysis.expected_counts(scn)
+        empirical, sigma = analysis.empirical_counts(scn, args.trials,
+                                                     make_rng(args.seed, "counts"))
         writer = csv.writer(out)
         writer.writerow(["index", "analytic", "empirical_mean", "empirical_sigma"])
-        for idx, a, e, s in rows:
+        for idx, a, e, s in zip(range(scn.n_positions), analytic, empirical, sigma):
             writer.writerow([idx, repr(float(a)), repr(float(e)), repr(float(s))])
     finally:
         if args.out:

@@ -188,7 +188,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     summary = ExperimentSummary(config=cfg)
     out_dir = Path(cfg.out) if cfg.out else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: {exc}") from exc
     print(make_env(cfg.env).spec.describe(), file=sys.stderr)
     for seed in cfg.seeds:
         env = make_env(cfg.env)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
+
+EXP_SEGMENT = 100  # items per recency segment of the exponential sampler
 
 
 @dataclass(frozen=True)
@@ -33,11 +36,13 @@ class EreConfig:
 
     eta0: float = 0.995
     c_min: int | None = None
-    phase_norm: int = 1000
+    phase_norm: ClassVar[int] = 1000
 
     def __post_init__(self):
         if not 0.0 < self.eta0 <= 1.0:
             raise ValueError("eta0: must be in (0, 1]")
+        if self.c_min is not None and self.c_min < 1:
+            raise ValueError("c_min: must be >= 1")
 
     def resolved_c_min(self, capacity: int, batch: int = 1) -> int:
         if self.c_min is not None:
@@ -285,17 +290,17 @@ def exponential_segment_masses(size: int, lam: float, segment: int) -> np.ndarra
 
 
 def sample_exponential(buffer: ReplayBuffer, lam: float, batch: int,
-                       rng: np.random.Generator, segment: int = 100) -> np.ndarray:
-    """Recency-weighted sampling: pick a segment by its exact exponential
-    mass, then uniformly within it (index 0 = most recent)."""
+                       rng: np.random.Generator) -> np.ndarray:
+    """Recency-weighted sampling: pick a segment of EXP_SEGMENT items by its
+    exact exponential mass, then uniformly within it (index 0 = most recent)."""
     _require_nonempty(buffer)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    masses = exponential_segment_masses(buffer.size, lam, segment)
+    masses = exponential_segment_masses(buffer.size, lam, EXP_SEGMENT)
     probs = masses / masses.sum()
     seg = rng.choice(probs.size, size=batch, p=probs)
-    starts = seg * segment
-    lengths = np.minimum(starts + segment, buffer.size) - starts
+    starts = seg * EXP_SEGMENT
+    lengths = np.minimum(starts + EXP_SEGMENT, buffer.size) - starts
     recency = starts + rng.integers(0, lengths)
     return buffer.recent_slot(recency)
 

@@ -1,7 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from soprl import analysis
 from soprl.analysis import (SamplingScenario, count_variances, empirical_counts,
                             expected_counts, retained_slice)
 
@@ -10,6 +11,42 @@ def harmonic_tail(n):
     """Closed-form oracle for the empty-start uniform curve."""
     inv = 1.0 / np.arange(1, n + 1)
     return np.cumsum(inv[::-1])[::-1]
+
+
+def dense_probabilities(scn):
+    """Oracle: per-update draw probabilities, shape (updates, n_positions).
+
+    Row k holds 1/w_k inside that update's window and 0 elsewhere.
+    """
+    lo, hi = scn.window_bounds()
+    w = (hi - lo + 1).astype(np.float64)
+    p = np.zeros((scn.updates, scn.n_positions))
+    for k in range(scn.updates):
+        p[k, lo[k]:hi[k] + 1] = 1.0 / w[k]
+    return p
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("start", ["empty", "full"])
+    @pytest.mark.parametrize("eta", [1.0, 0.996])
+    @pytest.mark.parametrize("capacity, updates", [(1, 1), (7, 5), (60, 60), (300, 200)])
+    def test_counts_and_variances_bitwise(self, start, eta, capacity, updates):
+        scn = SamplingScenario(capacity, updates, eta, start)
+        p = dense_probabilities(scn)
+        assert np.array_equal(expected_counts(scn), p.sum(axis=0))
+        assert np.array_equal(count_variances(scn), (p * (1.0 - p)).sum(axis=0))
+
+    def test_no_dense_matrix_at_benchmark_size(self):
+        # the dense form is 1k x 21k float64 = 168 MB here, twice for the variances
+        scn = SamplingScenario(20_000, 1000, 0.996, "full")
+        tracemalloc.start()
+        try:
+            expected_counts(scn)
+            count_variances(scn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestUniformEmpty:
@@ -89,7 +126,7 @@ class TestEre:
 
     def test_probability_rows_sum_to_one(self):
         scn = SamplingScenario(200, 200, 0.995, "full")
-        p = analysis.probability_matrix(scn)
+        p = dense_probabilities(scn)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-12)
 
 
@@ -129,7 +166,7 @@ class TestEmpirical:
 
     def test_variances_match_bernoulli_formula(self):
         scn = SamplingScenario(50, 50, 1.0, "empty")
-        p = analysis.probability_matrix(scn)
+        p = dense_probabilities(scn)
         np.testing.assert_allclose(count_variances(scn), (p * (1 - p)).sum(axis=0))
 
 
@@ -142,18 +179,7 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             SamplingScenario(100, 100, 1.0, "center")
 
-
-class TestMuTrace:
-    def test_projects_record_rows(self):
-        from soprl.agent import EvalRow, TrainRecord
-        rec = TrainRecord(rows=[
-            EvalRow(100, -1.0, 0.1, 0.0, 0.25, 0.5, 0.5, None, 0.0),
-            EvalRow(200, -0.5, 0.1, 0.0, 0.5, 1.5, 1.0, None, 0.0)])
-        trace = analysis.mu_trace(rec)
-        np.testing.assert_allclose(trace, [[100, 0.5, 0.25], [200, 1.5, 0.5]])
-
-    def test_zero_policy_record(self):
-        from soprl.agent import EvalRow, TrainRecord
-        rec = TrainRecord(rows=[EvalRow(1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, 0.0)])
-        trace = analysis.mu_trace(rec)
-        assert trace[0, 1] == 0.0 and trace[0, 2] == 0.0
+    @pytest.mark.parametrize("c_min", [0, -1])
+    def test_c_min_below_one_rejected(self, c_min):
+        with pytest.raises(ValueError, match="^c_min: must be >= 1"):
+            SamplingScenario(100, 100, 0.5, "full", c_min=c_min)

@@ -62,6 +62,23 @@ def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkey
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "counts", "--scheme", "uniform_full", "--out", "missing_dir/x.csv"],
+    ["run", "--env", "pointmass1d", "--out", "taken"]], ids=["analyze", "run"])
+def test_unwritable_out_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("soprl.analysis.expected_counts", no_work)
+    monkeypatch.setattr("soprl.harness.train", no_work)
+    (tmp_path / "taken").write_text("a file, not a directory")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error: out: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert (tmp_path / "taken").read_text() == "a file, not a directory"
+
+
 class TestAnalyzeCommand:
     def test_counts_csv_schema(self, tmp_path):
         out = tmp_path / "counts.csv"

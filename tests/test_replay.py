@@ -142,6 +142,14 @@ class TestEreSchedule:
         cfg = EreConfig(eta0=0.5, c_min=1)
         assert ere_range(0, 100, 12345, cfg, 0.5) == 12345
 
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="^eta0: "):
+            EreConfig(eta0=1.5)
+        for c_min in (0, -5):
+            with pytest.raises(ValueError, match="^c_min: must be >= 1"):
+                EreConfig(c_min=c_min)
+        assert EreConfig(c_min=1).resolved_c_min(100) == 1
+
     def test_default_c_min_scales_with_capacity(self):
         cfg = EreConfig(eta0=0.995)
         assert cfg.resolved_c_min(1_000_000) == 5000
