@@ -9,6 +9,8 @@ approximated over fixed-size segments.
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -177,6 +179,17 @@ class SumTree:
     incremental deltas), which keeps every internal node exactly equal to
     the sum of its children; a full rebuild additionally runs every
     ``rebuild_every`` writes.
+
+    A write touches only the ancestors of the written leaves.  One slot
+    walks its path with integer steps.  A batch sorts its leaves once; at
+    each level it shifts them to their parents and drops each parent equal
+    to its left neighbour (ancestors of sorted leaves stay sorted).  Once a
+    level holds fewer than twice as many nodes as are touched, every
+    remaining level is recomputed whole from two strided slices.  The
+    result is bitwise that of recomputing the parents of the touched set
+    level by level: each node written is still left + right, and a node
+    under no written leaf is already the sum of its children, so writing
+    it again stores the value it has.
     """
 
     def __init__(self, capacity: int, beta1: float = 0.4, beta2: float = 0.4,
@@ -201,38 +214,69 @@ class SumTree:
         return self.nodes[self.n_leaves - 1:self.n_leaves - 1 + self.capacity]
 
     def set_raw(self, slots: np.ndarray, raw_priorities: np.ndarray) -> None:
-        """Write raw priorities p (already including the floor); stores p^beta1."""
-        slots = np.atleast_1d(np.asarray(slots, dtype=np.int64))
-        raw = np.atleast_1d(np.asarray(raw_priorities, dtype=np.float64))
-        if np.any((slots < 0) | (slots >= self.capacity)):
+        """Write raw priorities p (already including the floor); stores p^beta1.
+
+        A single priority is written to every slot given.  Within one call
+        the last write to a repeated slot wins.  Every check runs before
+        anything is changed.
+        """
+        slots = np.atleast_1d(np.asarray(slots, dtype=np.int64)).ravel()
+        raw = np.atleast_1d(np.asarray(raw_priorities, dtype=np.float64)).ravel()
+        if slots.size and (slots.min() < 0 or slots.max() >= self.capacity):
             raise IndexError("slot out of range")
-        if np.any(raw < self.priority_floor):
-            raise ValueError("priority below floor")
-        self.max_raw_priority = max(self.max_raw_priority, float(np.max(raw)))
+        if raw.size != 1 and raw.size != slots.size:
+            raise ValueError(f"{raw.size} priorities for {slots.size} slots")
+        if raw.size:
+            low, high = float(raw.min()), float(raw.max())  # NaN reaches both
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValueError("priority not finite")
+            if low < self.priority_floor:
+                raise ValueError("priority below floor")
+        if not slots.size:
+            return
+        self.max_raw_priority = max(self.max_raw_priority, high)
         idx = slots + self.n_leaves - 1
         self.nodes[idx] = raw ** self.beta1
         self.writes += slots.size
         if self.writes >= self.rebuild_every:
             self.rebuild()
-            return
-        if self.n_leaves == 1:
-            return
-        parents = np.unique((idx - 1) // 2)
-        while True:
-            self.nodes[parents] = self.nodes[2 * parents + 1] + self.nodes[2 * parents + 2]
-            if parents[0] == 0:
-                break
-            parents = np.unique((parents - 1) // 2)
+        elif idx.size == 1:
+            nodes, i = self.nodes, int(idx[0])
+            while i:
+                i = (i - 1) >> 1
+                nodes[i] = nodes[2 * i + 1] + nodes[2 * i + 2]
+        else:
+            self._write_ancestors(np.sort(idx))
 
-    def rebuild(self) -> None:
-        """Recompute all internal nodes bottom-up from the leaves."""
-        level = self.nodes[self.n_leaves - 1:]
-        lo = self.n_leaves - 1
+    def _write_ancestors(self, touched: np.ndarray) -> None:
+        """Recompute the ancestors of the sorted leaf indices ``touched``."""
+        nodes = self.nodes
+        lo = self.n_leaves - 1  # first index of the level holding ``touched``
+        while lo > 0:
+            parent_lo = lo // 2
+            touched = (touched - 1) >> 1
+            keep = np.empty(touched.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(touched[1:], touched[:-1], out=keep[1:])
+            touched = touched[keep]
+            if 2 * touched.size > lo - parent_lo:
+                self._sum_levels(lo)
+                return
+            nodes[touched] = nodes[2 * touched + 1] + nodes[2 * touched + 2]
+            lo = parent_lo
+
+    def _sum_levels(self, lo: int) -> None:
+        """Recompute every level above the one starting at node ``lo``."""
+        level = self.nodes[lo:2 * lo + 1]
         while lo > 0:
             parent_lo = lo // 2
             self.nodes[parent_lo:lo] = level[0::2] + level[1::2]
             level = self.nodes[parent_lo:lo]
             lo = parent_lo
+
+    def rebuild(self) -> None:
+        """Recompute all internal nodes bottom-up from the leaves."""
+        self._sum_levels(self.n_leaves - 1)
         self.writes = 0
 
     def sample_slots(self, batch: int, rng: np.random.Generator) -> np.ndarray:
@@ -289,16 +333,31 @@ def exponential_segment_masses(size: int, lam: float, segment: int) -> np.ndarra
     return np.exp(-lam * starts) * -np.expm1(-lam * lengths)
 
 
+@functools.lru_cache(maxsize=8)
+def _segment_cdf(size: int, lam: float) -> np.ndarray:
+    """Normalized cumulative segment masses, built as Generator.choice builds
+    them from ``p``, so a search of this CDF draws the same segments."""
+    masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+    probs = masses / masses.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def sample_exponential(buffer: ReplayBuffer, lam: float, batch: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Recency-weighted sampling: pick a segment of EXP_SEGMENT items by its
-    exact exponential mass, then uniformly within it (index 0 = most recent)."""
+    exact exponential mass, then uniformly within it (index 0 = most recent).
+
+    The segment draw is ``rng.choice(n_segments, batch, p=masses / sum)``
+    done by hand: one uniform per draw, searched in the cached CDF.  Slots
+    and generator state are the same as that call's.
+    """
     _require_nonempty(buffer)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    masses = exponential_segment_masses(buffer.size, lam, EXP_SEGMENT)
-    probs = masses / masses.sum()
-    seg = rng.choice(probs.size, size=batch, p=probs)
+    if not 0 < lam < np.inf:
+        raise ValueError("lambda must be positive and finite")
+    seg = _segment_cdf(buffer.size, lam).searchsorted(rng.random(batch), side="right")
     starts = seg * EXP_SEGMENT
     lengths = np.minimum(starts + EXP_SEGMENT, buffer.size) - starts
     recency = starts + rng.integers(0, lengths)
@@ -312,20 +371,27 @@ class PerfTracker:
     Recent improvement compares the latest training return with the return
     recorded closest to half a buffer-capacity of environment steps earlier;
     before that much history exists it stays undefined.
+
+    The history keeps only the entries from the one last compared onwards.
+    With the same capacity on every call the target only moves forward, so
+    no later comparison could pick an entry dropped before it.
     """
 
     timesteps: list[int] = field(default_factory=list)
     returns: list[float] = field(default_factory=list)
     i_recent: float | None = None
     i_max: float = 0.0
+    _first_timestep: int | None = field(default=None, init=False, repr=False)
 
     def update(self, timestep: int, episode_return: float, capacity: int) -> None:
         if self.timesteps and timestep < self.timesteps[-1]:
             raise ValueError("timesteps must be monotone")
         self.timesteps.append(int(timestep))
         self.returns.append(float(episode_return))
+        if self._first_timestep is None:
+            self._first_timestep = self.timesteps[0]
         target = timestep - capacity // 2
-        if target < self.timesteps[0]:
+        if target < self._first_timestep:
             self.i_recent = None
             return
         pos = bisect.bisect_left(self.timesteps, target)
@@ -334,6 +400,7 @@ class PerfTracker:
             pos -= 1
         self.i_recent = episode_return - self.returns[pos]
         self.i_max = max(self.i_max, self.i_recent)
+        del self.timesteps[:pos], self.returns[:pos]
 
 
 def adapt_eta(cfg: EreConfig, tracker: PerfTracker) -> float:

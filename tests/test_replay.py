@@ -1,10 +1,12 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soprl.replay import (EreConfig, PerfTracker, ReplayBuffer, SumTree,
-                          Transition, adapt_eta, ere_range,
+from soprl.replay import (EXP_SEGMENT, EreConfig, PerfTracker, ReplayBuffer,
+                          SumTree, Transition, adapt_eta, ere_range,
                           exponential_segment_masses, per_sample,
                           per_update_priorities, sample_ere,
                           sample_exponential, sample_uniform)
@@ -18,6 +20,40 @@ def trans(i, state_dim=1, action_dim=1):
 def fill(buffer, n):
     for i in range(n):
         buffer.push(trans(i))
+
+
+class LevelWalkTree(SumTree):
+    """Oracle: the level-by-level write, recomputing the parents of the
+    ``np.unique`` touched set at every level up to the root."""
+
+    def set_raw(self, slots, raw_priorities):
+        slots = np.atleast_1d(np.asarray(slots, dtype=np.int64))
+        raw = np.atleast_1d(np.asarray(raw_priorities, dtype=np.float64))
+        self.max_raw_priority = max(self.max_raw_priority, float(np.max(raw)))
+        idx = slots + self.n_leaves - 1
+        self.nodes[idx] = raw ** self.beta1
+        self.writes += slots.size
+        if self.writes >= self.rebuild_every:
+            self.rebuild()
+            return
+        if self.n_leaves == 1:
+            return
+        parents = np.unique((idx - 1) // 2)
+        while True:
+            self.nodes[parents] = self.nodes[2 * parents + 1] + self.nodes[2 * parents + 2]
+            if parents[0] == 0:
+                break
+            parents = np.unique((parents - 1) // 2)
+
+
+def tree_state(tree):
+    return tree.nodes.copy(), tree.max_raw_priority, tree.writes
+
+
+def assert_unchanged(tree, state):
+    nodes, max_raw, writes = state
+    assert np.array_equal(tree.nodes, nodes)
+    assert (tree.max_raw_priority, tree.writes) == (max_raw, writes)
 
 
 class TestBuffer:
@@ -289,6 +325,88 @@ class TestSumTree:
         assert np.array_equal(tree.nodes[parents],
                               tree.nodes[2 * parents + 1] + tree.nodes[2 * parents + 2])
 
+    @pytest.mark.parametrize("slots, raw", [
+        ([1], [np.nan]),
+        ([1], [np.inf]),
+        ([1], [-np.inf]),
+        ([1, 2, 3], [5.0, np.nan, 2.0]),
+        ([1, 2, 3], [5.0, 2.0]),
+        ([1], [5.0, 2.0]),
+        ([1], []),
+    ], ids=["nan", "inf", "-inf", "nan-in-batch", "short-priorities",
+            "long-priorities", "no-priorities"])
+    def test_bad_priorities_rejected_before_any_change(self, slots, raw):
+        tree = SumTree(8)
+        tree.set_raw(np.arange(8), np.linspace(1.0, 2.0, 8))
+        before = tree_state(tree)
+        with pytest.raises(ValueError):
+            tree.set_raw(np.array(slots), np.array(raw))
+        assert_unchanged(tree, before)
+
+    def test_bad_slot_rejected_before_any_change(self):
+        tree = SumTree(8)
+        before = tree_state(tree)
+        with pytest.raises(IndexError):
+            tree.set_raw(np.array([1, 8]), np.array([5.0, 2.0]))
+        assert_unchanged(tree, before)
+
+    @pytest.mark.parametrize("raw", [[], [2.0]], ids=["no-priorities", "one-priority"])
+    def test_empty_write_is_a_no_op(self, raw):
+        tree = SumTree(8)
+        tree.set_raw(np.arange(8), np.linspace(1.0, 2.0, 8))
+        before = tree_state(tree)
+        tree.set_raw(np.array([], dtype=np.int64), np.array(raw))
+        assert_unchanged(tree, before)
+
+    def test_one_priority_broadcasts_to_every_slot(self):
+        tree, oracle = SumTree(16, beta1=0.7), LevelWalkTree(16, beta1=0.7)
+        for t in (tree, oracle):
+            t.set_raw(np.array([3, 9, 9, 15]), np.array([2.5]))
+        assert np.array_equal(tree.nodes, oracle.nodes)
+        assert np.array_equal(tree.leaf_values()[[3, 9, 15]], np.full(3, 2.5 ** 0.7))
+
+    def test_last_write_to_a_repeated_slot_wins(self):
+        tree = SumTree(16, beta1=1.0)
+        tree.set_raw(np.array([4, 7, 4]), np.array([1.0, 2.0, 3.0]))
+        assert tree.leaf_values()[4] == 3.0
+        assert tree.total == 5.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 3, 32, 300, 1000]), st.sampled_from([10, 100_000]),
+           st.lists(st.lists(st.tuples(st.integers(0, 999), st.floats(1e-6, 10.0)),
+                             min_size=1, max_size=40),
+                    min_size=1, max_size=30),
+           st.floats(0.1, 1.0))
+    def test_bitwise_equal_to_level_walk(self, capacity, rebuild_every, writes, beta1):
+        # mixed one-slot and batch writes, slots folded into the capacity so
+        # that small trees see many repeated slots within one batch
+        tree = SumTree(capacity, beta1=beta1, rebuild_every=rebuild_every)
+        oracle = LevelWalkTree(capacity, beta1=beta1, rebuild_every=rebuild_every)
+        for batch in writes:
+            slots = np.array([s % capacity for s, _ in batch])
+            raw = np.array([p for _, p in batch])
+            tree.set_raw(slots, raw)
+            oracle.set_raw(slots, raw)
+            assert np.array_equal(tree.nodes, oracle.nodes)
+            assert tree.writes == oracle.writes
+            assert tree.max_raw_priority == oracle.max_raw_priority
+
+    @pytest.mark.parametrize("batch", [1, 2, 256, 5000])
+    def test_bitwise_equal_to_level_walk_at_depth_twenty(self, batch):
+        # a mostly-untouched 1e6-leaf tree: the levels near the leaves take
+        # the sparse path, the narrow levels near the root the whole-level one
+        rng = np.random.default_rng(batch)
+        tree, oracle = SumTree(1_000_000), LevelWalkTree(1_000_000)
+        base = rng.uniform(1e-3, 2.0, 1_000_000)
+        tree.set_raw(np.arange(1_000_000), base)
+        oracle.set_raw(np.arange(1_000_000), base)
+        for _ in range(3):
+            slots = rng.integers(0, 1_000_000, batch)
+            raw = rng.uniform(1e-3, 2.0, batch)
+            tree.set_raw(slots, raw)
+            oracle.set_raw(slots, raw)
+        assert np.array_equal(tree.nodes, oracle.nodes)
+
 
 class TestPerSampling:
     def test_probabilities_follow_priority_ratio(self):
@@ -374,6 +492,46 @@ class TestExponentialSampler:
         assert frac == pytest.approx(expected, rel=1e-9)
         assert abs(frac - (1 - np.exp(-0.5))) / (1 - np.exp(-0.5)) < 0.01
 
+    @pytest.mark.parametrize("size", [1, 99, 100, 101, 20_000, 1_000_000])
+    @pytest.mark.parametrize("lam", [5e-6, 1e-3])
+    def test_same_slots_and_generator_state_as_choice(self, size, lam):
+        buf = ReplayBuffer(size, 1, 1)
+        buf.cursor, buf.size = 37 % size, size  # contents are never read
+        got_rng, want_rng = np.random.default_rng(size), np.random.default_rng(size)
+        for batch in (256, 1):
+            got = sample_exponential(buf, lam, batch, got_rng)
+            masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+            probs = masses / masses.sum()
+            seg = want_rng.choice(probs.size, size=batch, p=probs)
+            starts = seg * EXP_SEGMENT
+            lengths = np.minimum(starts + EXP_SEGMENT, size) - starts
+            want = buf.recent_slot(starts + want_rng.integers(0, lengths))
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_segment_frequencies_within_three_sigma(self):
+        # 200 segments with 20k draws expected in the least likely one;
+        # frozen seed, as with every all-cells 3-sigma check
+        size, lam = 20_000, 1e-4
+        buf = ReplayBuffer(size, 1, 1)
+        fill(buf, size)
+        rng = np.random.default_rng(6)
+        draws = 2_000_000
+        slots = sample_exponential(buf, lam, draws, rng)
+        recency = (buf.cursor - 1 - slots) % buf.capacity
+        counts = np.bincount(recency // EXP_SEGMENT, minlength=size // EXP_SEGMENT)
+        masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+        probs = masses / masses.sum()
+        sigma = np.sqrt(draws * probs * (1 - probs))
+        assert np.max(np.abs(counts - draws * probs) / sigma) < 3.0
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        buf = ReplayBuffer(10, 1, 1)
+        fill(buf, 10)
+        with pytest.raises(ValueError):
+            sample_exponential(buf, lam, 4, np.random.default_rng(0))
+
 
 class TestTrackerAndAdaptiveEta:
     def test_constant_returns_zero_improvement(self):
@@ -428,6 +586,43 @@ class TestTrackerAndAdaptiveEta:
         tr.update(100, 1.0, capacity=1000)
         with pytest.raises(ValueError):
             tr.update(50, 1.0, capacity=1000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 400), st.floats(-10, 10)), min_size=1,
+                    max_size=80),
+           st.integers(1, 1000))
+    def test_bounded_history_matches_full_history(self, episodes, capacity):
+        # the full-history rule, kept here as the oracle
+        tr, cfg = PerfTracker(), EreConfig(eta0=0.99)
+        steps, rets, i_max = [], [], 0.0
+        step = 0
+        for length, ret in episodes:
+            step += length
+            tr.update(step, ret, capacity)
+            steps.append(step)
+            rets.append(ret)
+            target = step - capacity // 2
+            if target < steps[0]:
+                assert tr.i_recent is None
+                continue
+            pos = bisect.bisect_left(steps, target)
+            if pos > 0 and (pos == len(steps)
+                            or target - steps[pos - 1] <= steps[pos] - target):
+                pos -= 1
+            i_recent = ret - rets[pos]
+            i_max = max(i_max, i_recent)
+            assert tr.i_recent == i_recent
+            assert tr.i_max == i_max
+            oracle = PerfTracker()
+            oracle.i_recent, oracle.i_max = i_recent, i_max
+            assert adapt_eta(cfg, tr) == adapt_eta(cfg, oracle)
+
+    def test_history_bounded_by_half_capacity(self):
+        tr = PerfTracker()
+        for step in range(100, 1_000_001, 100):
+            tr.update(step, 0.0, capacity=100_000)
+        assert len(tr.timesteps) == len(tr.returns) == 501
+        assert tr.timesteps[0] == 950_000
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-5, 5), st.floats(0.01, 5), st.floats(0.9, 1.0))
