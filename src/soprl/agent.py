@@ -56,11 +56,14 @@ class AgentConfig:
                   ("tau", 0.0 < self.tau <= 1.0, "must be in (0, 1]"),
                   ("sigma_explore", self.sigma_explore > 0.0, "must be > 0"),
                   ("sigma_target", self.sigma_target >= 0.0, "must be >= 0"),
-                  ("lr", self.lr > 0.0, "must be > 0"),
+                  ("lr", 0.0 < self.lr < np.inf, "must be finite and > 0"),
                   ("batch_size", self.batch_size >= 1, "must be >= 1"),
                   ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
                   ("buffer_capacity", self.buffer_capacity >= 1, "must be >= 1"),
                   ("warmup_steps", self.warmup_steps >= 0, "must be >= 0"),
+                  ("per_beta1", 0.0 <= self.per_beta1 < np.inf, "must be finite and >= 0"),
+                  ("per_beta2", 0.0 <= self.per_beta2 < np.inf, "must be finite and >= 0"),
+                  ("exp_lambda", 0.0 < self.exp_lambda < np.inf, "must be in (0, inf)"),
                   ("variant", self.variant in VARIANTS, f"must be one of {VARIANTS}"),
                   ("sampler", self.sampler in SAMPLERS, f"must be one of {SAMPLERS}"))
         for name, ok, msg in checks:

@@ -174,7 +174,6 @@ def write_aggregate_csv(path: Path, records: dict[int, TrainRecord]) -> None:
 
 @dataclass
 class ExperimentSummary:
-    config: ExperimentConfig
     records: dict[int, TrainRecord] = field(default_factory=dict)
     failures: dict[int, str] = field(default_factory=dict)
 
@@ -185,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     A failing seed is reported in the summary and on stderr; the remaining
     seeds still run.
     """
-    summary = ExperimentSummary(config=cfg)
+    summary = ExperimentSummary()
     out_dir = Path(cfg.out) if cfg.out else None
     if out_dir is not None:
         try:

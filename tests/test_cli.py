@@ -11,6 +11,11 @@ def run_cli(*args):
     return main(list(args))
 
 
+# a run small enough that a value missed by the config checks fails within seconds
+SMALL_RUN = ["--steps", "300", "--warmup", "100", "--buffer", "2000", "--batch", "16",
+             "--hidden", "8", "--eval-interval", "100"]
+
+
 class TestRunCommand:
     def test_run_writes_csvs(self, tmp_path, capsys):
         code = run_cli("run", "--env", "pointmass1d", "--steps", "150",
@@ -49,7 +54,15 @@ class TestRunCommand:
     (["analyze", "counts", "--scheme", "uniform_empty", "--buffer", "50",
       "--updates", "60"], "updates"),
     (["analyze", "counts", "--scheme", "uniform_full", "--trials", "0"], "trials"),
-    (["run", "--sigma", "0"], "sigma")])
+    (["run", "--sigma", "0"], "sigma"),
+    (["run", *SMALL_RUN, "--sampler", "exp", "--exp_lambda", "0"], "exp_lambda"),
+    (["run", *SMALL_RUN, "--sampler", "exp", "--exp_lambda", "-1"], "exp_lambda"),
+    (["run", *SMALL_RUN, "--sampler", "exp", "--exp_lambda", "inf"], "exp_lambda"),
+    (["run", *SMALL_RUN, "--sampler", "per", "--beta1", "nan"], "beta1"),
+    (["run", *SMALL_RUN, "--sampler", "per", "--beta1", "-0.5"], "beta1"),
+    (["run", *SMALL_RUN, "--sampler", "per", "--beta2", "nan"], "beta2"),
+    (["run", *SMALL_RUN, "--sampler", "per", "--beta2", "inf"], "beta2"),
+    (["run", *SMALL_RUN, "--lr", "inf"], "lr")])
 def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.chdir(tmp_path)
@@ -99,16 +112,11 @@ class TestAnalyzeCommand:
         assert code == 0
 
 
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert run_cli("selftest") == 0
-        out = capsys.readouterr().out
-        assert "PASSED" in out
-        assert "FAIL " not in out
-
-
 def test_module_entrypoint_runs():
-    proc = subprocess.run([sys.executable, "-m", "soprl", "selftest"],
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-m", "soprl", "analyze", "counts",
+                           "--scheme", "uniform_full", "--buffer", "10", "--updates", "10",
+                           "--trials", "10"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "selftest PASSED" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "index,analytic,empirical_mean,empirical_sigma"
+    assert len(lines) == 1 + 20  # capacity + updates positions

@@ -1,11 +1,12 @@
-"""Golden CSV bytes: training output pinned by sha256.
+"""Golden CSV bytes: training and count-curve output pinned by sha256.
 
 Every variant x sampler trains on pointmass2d with small nets, plus one
 pointmass1d run at the desk network size (hidden 64, batch 256).  The pinned
 hashes were captured before the network engine moved to reused activation
 buffers and flat parameter vectors; a change that alters any training
-arithmetic changes a hash.  To re-pin after an intended change, run this file
-as a script: it prints the table.
+arithmetic changes a hash.  The four ``analyze counts`` schemes are pinned
+the same way at a small size.  To re-pin after an intended change, run this
+file as a script: it prints both tables.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import pytest
 
 from soprl.agent import SAMPLERS, VARIANTS
+from soprl.cli import SCHEMES, main
 from soprl.harness import parse_config, run_experiment
 
 SMALL = {"env": "pointmass2d", "steps": 300, "eval_interval": 150, "eval_rollouts": 2,
@@ -55,6 +57,15 @@ GOLDEN = {
     "sop_ig-uniform": "ffe1ec59069151be58f6b9be63ebeba34172c078584efc4e56b47f38942385a3",
 }
 
+COUNTS_ARGV = ["--buffer", "300", "--updates", "200", "--trials", "500", "--seed", "1"]
+
+COUNTS_GOLDEN = {
+    "ere_empty": "b8321d1b46137d0573ca020155b0c48500e439138a4b5910cc5cb74e6058326d",
+    "ere_full": "4ab47265a2148b83c8323ac3c799d6274c96ac7761b74188bc4b16a042d622eb",
+    "uniform_empty": "d07a1f5cc39b40b43003498fd0f2108acd137da4c080ee381015e4b9572349b9",
+    "uniform_full": "caaf7ed8f8548408b43825fd48e27e8a3ee2bfab03e40eb80c7883b25c70efdc",
+}
+
 
 def csv_sha256(overrides: dict, out) -> str:
     """sha256 over every CSV the run writes, in name order, name included."""
@@ -70,9 +81,27 @@ def test_csv_bytes_match_golden(name, tmp_path):
     assert csv_sha256(CONFIGS[name], tmp_path / "out") == GOLDEN[name]
 
 
+def counts_csv(scheme: str, out=None) -> None:
+    argv = ["analyze", "counts", "--scheme", scheme, *COUNTS_ARGV]
+    assert main([*argv, "--out", str(out)] if out else argv) == 0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_counts_csv_bytes_match_golden(scheme, tmp_path, capsys):
+    counts_csv(scheme)
+    printed = capsys.readouterr().out.encode()
+    counts_csv(scheme, tmp_path / "counts.csv")
+    assert (tmp_path / "counts.csv").read_bytes() == printed
+    assert hashlib.sha256(printed).hexdigest() == COUNTS_GOLDEN[scheme]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CONFIGS):
             sys.stdout.write(f'    "{name}": "{csv_sha256(CONFIGS[name], Path(tmp) / name)}",\n')
+        for scheme in sorted(SCHEMES):
+            counts_csv(scheme, Path(tmp) / f"{scheme}.csv")
+            digest = hashlib.sha256((Path(tmp) / f"{scheme}.csv").read_bytes()).hexdigest()
+            sys.stdout.write(f'    "{scheme}": "{digest}",\n')
