@@ -9,7 +9,7 @@ output to action: normalize -> tanh, or clip + inverting gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,8 @@ class ActionBounds:
 
     low: np.ndarray
     high: np.ndarray
+    # the half range, worked out once; None when the box is not symmetric
+    _scale: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         low = np.atleast_1d(np.asarray(self.low, dtype=np.float64))
@@ -34,6 +36,11 @@ class ActionBounds:
             raise ValueError("low/high shape mismatch")
         if not np.all(low < high):
             raise ValueError("require low < high component-wise")
+        m = (high - low) / 2.0
+        center = (high + low) / 2.0
+        symmetric = not np.any(np.abs(center) > 1e-12 * np.maximum(m, 1.0))
+        m.flags.writeable = False
+        object.__setattr__(self, "_scale", m if symmetric else None)
 
     @classmethod
     def symmetric(cls, scale: float | np.ndarray, dim: int) -> "ActionBounds":
@@ -48,12 +55,16 @@ class ActionBounds:
 
     @property
     def scale(self) -> np.ndarray:
-        """Symmetric half-range M; only meaningful for tanh squashing."""
-        m = (self.high - self.low) / 2.0
-        center = (self.high + self.low) / 2.0
-        if np.any(np.abs(center) > 1e-12 * np.maximum(m, 1.0)):
+        """Symmetric half-range M (read-only); only meaningful for tanh squashing."""
+        if self._scale is None:
             raise ValueError("tanh squashing requires symmetric bounds")
-        return m
+        return self._scale
+
+
+def _mean_abs(x: np.ndarray) -> np.ndarray:
+    """Mean of |x| over the last axis, kept; bitwise ``np.mean``, which also
+    divides the ``np.add.reduce`` sum by the count, without its wrapper."""
+    return np.add.reduce(np.abs(x), axis=-1, keepdims=True) / x.shape[-1]
 
 
 def normalize_output(mu: np.ndarray) -> np.ndarray:
@@ -68,16 +79,16 @@ def normalize_output(mu: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape[-1] == 0:
         raise ValueError("empty action vector")
-    g = np.mean(np.abs(mu), axis=-1, keepdims=True)
+    g = _mean_abs(mu)
     over = g > 1.0
-    if not np.any(over):
+    if not over.any():
         return mu.copy()
     out = np.where(over, mu / np.where(over, g, 1.0), mu)
     # ulp guard: division can round the mean magnitude to just above 1
     for _ in range(4):
-        m = np.mean(np.abs(out), axis=-1, keepdims=True)
+        m = _mean_abs(out)
         bad = over & (m > 1.0)
-        if not np.any(bad):
+        if not bad.any():
             break
         out = np.where(bad, out / np.where(bad, m, 1.0), out)
     return out
@@ -93,11 +104,11 @@ def normalize_output_vjp(mu: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.float64)
     v = np.asarray(grad_out, dtype=np.float64)
     k = mu.shape[-1]
-    g = np.mean(np.abs(mu), axis=-1, keepdims=True)
+    g = _mean_abs(mu)
     over = g > 1.0
     g_safe = np.where(over, g, 1.0)
     sign = np.sign(mu)
-    vdotmu = np.sum(v * mu, axis=-1, keepdims=True)
+    vdotmu = np.add.reduce(v * mu, axis=-1, keepdims=True)
     scaled = v / g_safe - vdotmu * sign / (k * g_safe * g_safe)
     return np.where(over, scaled, v)
 

@@ -9,6 +9,7 @@ or swap squashing for inverting gradients.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -115,6 +116,12 @@ def init_agent_state(state_dim: int, action_dim: int, hidden_dim: int,
     )
 
 
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))`` bit for bit: the same ``np.add.reduce`` sum over
+    the same count, without np.mean's wrapper."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
 def soft_update_targets(state: AgentState, tau: float) -> None:
     """Polyak-average online parameters into the targets:
     target <- (1 - tau) * target + tau * online."""
@@ -139,6 +146,10 @@ class SopAgent:
         self.rng_warmup = make_rng(seed, "warmup")
         self.state = init_agent_state(state_dim, action_dim, cfg.hidden_dim,
                                       self.rng_init)
+        # gradient buffers of the updates, overwritten by each backward pass
+        self._policy_grads, self._q1_grads, self._q2_grads = (
+            nets.zeros_like_params(p) for p in (self.state.policy, self.state.q1,
+                                                self.state.q2))
         self.head = (InvertingGradientsHead(bounds) if cfg.variant == "sop_ig"
                      else TanhHead(bounds, normalize=cfg.variant != "no_norm"))
 
@@ -196,34 +207,39 @@ class SopAgent:
         """One Adam step on each Q net; returns the loss and per-sample |td|."""
         cfg = self.cfg
         n = targets.shape[0]
-        w = np.ones(n) if is_weights is None else np.asarray(is_weights)
+        # unweighted, the loss leaves out w = 1: 1.0 * x == x bit for bit
+        w = None if is_weights is None else np.asarray(is_weights)
+        two_w = 2.0 if w is None else 2.0 * w
         q_in = np.concatenate([batch["states"], batch["actions"]], axis=1)
         abs_errs = []
         total_loss = 0.0
-        q_nets = [(self.state.q1, self.state.q1_adam)]
+        q_nets = [(self.state.q1, self.state.q1_adam, self._q1_grads)]
         if cfg.twin_q:
-            q_nets.append((self.state.q2, self.state.q2_adam))
-        for params, adam in q_nets:
+            q_nets.append((self.state.q2, self.state.q2_adam, self._q2_grads))
+        for params, adam, grads in q_nets:
             pred, cache = nets.mlp_forward_cached(params, q_in)
             err = pred[:, 0] - targets
             abs_errs.append(np.abs(err))
-            loss = float(np.mean(w * err * err))
-            if not np.isfinite(loss):
+            loss = _mean((err if w is None else w * err) * err)
+            if not math.isfinite(loss):
                 raise FloatingPointError("non-finite Q loss")
             total_loss += loss
-            grad_out = (2.0 * w * err / n)[:, None]
-            grads, _ = nets.mlp_backward_cached(params, cache, grad_out)
+            grad_out = (two_w * err / n)[:, None]
+            nets.mlp_backward_cached(params, cache, grad_out, out=grads)
             nets.adam_step(adam, params, grads, cfg.lr)
         self.state.updates += 1
         td = 0.5 * (abs_errs[0] + abs_errs[1]) if len(abs_errs) == 2 else abs_errs[0]
         return total_loss / len(abs_errs), td
 
-    def policy_objective_and_grads(self, batch: dict[str, np.ndarray]) -> tuple[float, nets.MlpParams]:
+    def policy_objective_and_grads(self, batch: dict[str, np.ndarray],
+                                   out: nets.MlpParams | None = None
+                                   ) -> tuple[float, nets.MlpParams]:
         """Mean Q1(s, action_of(s)) and its ascent gradient w.r.t. the policy.
 
         The action head maps the raw output to Q1's action input and carries
         dQ1/da back to the raw output (see ``TanhHead.forward_vjp`` and
-        ``InvertingGradientsHead.forward_vjp``).
+        ``InvertingGradientsHead.forward_vjp``).  The gradient goes into
+        ``out`` when it is given, else into a fresh container.
         """
         s = batch["states"]
         n = s.shape[0]
@@ -233,17 +249,17 @@ class SopAgent:
         a, vjp = self.head.forward_vjp(mu)
         q_in = np.concatenate([s, a], axis=1)
         q, q_cache = nets.mlp_forward_cached(self.state.q1, q_in)
-        objective = float(np.mean(q))
+        objective = _mean(q)
         q_in_grad = nets.mlp_input_grad(self.state.q1, q_cache, np.full((n, 1), 1.0 / n))
         mu_grad = vjp(q_in_grad[:, self.state_dim:])
-        if not np.isfinite(objective):
+        if not math.isfinite(objective):
             raise FloatingPointError("non-finite policy objective")
-        grads, _ = nets.mlp_backward_cached(self.state.policy, cache, mu_grad)
+        grads, _ = nets.mlp_backward_cached(self.state.policy, cache, mu_grad, out=out)
         return objective, grads
 
     def policy_update(self, batch: dict[str, np.ndarray]) -> float:
         """One Adam ascent step on the policy; Q parameters are untouched."""
-        objective, grads = self.policy_objective_and_grads(batch)
+        objective, grads = self.policy_objective_and_grads(batch, out=self._policy_grads)
         np.negative(grads.flat, out=grads.flat)  # adam minimizes; flip to ascend
         nets.adam_step(self.state.policy_adam, self.state.policy, grads,
                        self.cfg.lr)

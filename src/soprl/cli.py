@@ -60,7 +60,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             rows = summary.records[seed].rows
             final = f"{rows[-1].eval_return_mean:.4f}" if rows else "n/a"
             print(f"seed {seed}: final eval return {final}")
-    if cfg.out:
+    if cfg.out and summary.records:
         print(f"CSV output in {cfg.out}")
     return 1 if summary.failures else 0
 

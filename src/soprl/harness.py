@@ -182,7 +182,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Train every seed independently and emit per-seed plus aggregate CSVs.
 
     A failing seed is reported in the summary and on stderr; the remaining
-    seeds still run.
+    seeds still run.  When every seed fails, no aggregate is written.
     """
     summary = ExperimentSummary()
     out_dir = Path(cfg.out) if cfg.out else None
@@ -207,6 +207,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         summary.records[seed] = record
         if out_dir is not None:
             write_seed_csv(out_dir / f"seed_{seed}.csv", seed, record)
-    if out_dir is not None:
+    if out_dir is not None and summary.records:
         write_aggregate_csv(out_dir / "aggregate.csv", summary.records)
     return summary

@@ -11,13 +11,14 @@ Inputs may be a single vector ``(d,)`` or a batch ``(B, d)``; outputs match
 the input rank.
 
 A cached forward writes the hidden activations into buffers the network
-keeps per batch size; uncached forwards and the backward passes work in two
-scratch buffers per shape that all networks of a thread share.  A
+keeps per batch size; uncached forwards, the backward passes and Adam work in
+two scratch buffers per shape that all networks of a thread share.  A
 steady-state update therefore allocates nothing of batch size.  The cache a
 cached forward returns points into the network's buffers: it is valid until
 the next cached forward of the same params object.  Uncached forwards
 (``mlp_forward``), batches of another size and passes of other networks
-leave it intact.  Outputs, gradients and input gradients are fresh arrays.
+leave it intact.  Outputs and input gradients are fresh arrays; parameter
+gradients are too, unless the caller passes its own buffer as ``out``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     flat: np.ndarray | None = field(default=None, repr=False)
+    # layer widths, input first; set once, since the views never change shape
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # hidden-activation buffers of cached forwards, by batch rows
     _acts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -59,10 +62,7 @@ class MlpParams:
             views.append(self.flat[offset:offset + np.size(t)].reshape(np.shape(t)))
             offset += np.size(t)
         self.weights, self.biases = views[0::2], views[1::2]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.weights) + (self.weights[-1].shape[1],)
+        self.sizes = tuple(w.shape[0] for w in self.weights) + (self.weights[-1].shape[1],)
 
     @property
     def n_layers(self) -> int:
@@ -131,16 +131,17 @@ class ForwardCache:
 
 class _Scratch(threading.local):
     """Two buffers per shape, shared by the uncached forward and backward
-    passes of one thread; their contents never outlive a call."""
+    passes and the Adam steps of one thread; their contents never outlive a
+    call."""
 
     def __init__(self):
-        self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.pairs: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
 
 _SCRATCH = _Scratch()
 
 
-def _scratch(shape: tuple[int, int], avoid: np.ndarray) -> np.ndarray:
+def _scratch(shape: tuple[int, ...], avoid: np.ndarray | None) -> np.ndarray:
     """The shared buffer of ``shape`` that is not ``avoid``."""
     pair = _SCRATCH.pairs.get(shape)
     if pair is None:
@@ -176,6 +177,22 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return y[0] if squeeze else y
 
 
+def _times_wt(upstream: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``upstream @ w.T`` into ``out``.
+
+    With one upstream column each element of the matmul is 0.0 + u_i * w_j:
+    a single product added to the zero the sum starts from, which turns a
+    -0.0 product into +0.0.  The broadcast product plus 0.0 gives the same
+    bits without the matmul's call overhead.
+    """
+    if upstream.shape[1] != 1:
+        return np.matmul(upstream, w.T, out=out)
+    np.copyto(out, w.T)
+    out *= upstream
+    out += 0.0
+    return out
+
+
 def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
               grads: MlpParams | None) -> np.ndarray:
     """Carry ``upstream`` from the output back to the input, writing the
@@ -189,19 +206,21 @@ def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
         if i == 0:
             return upstream @ params.weights[0].T
         h = cache.hidden[i - 1]
-        buf = _scratch(h.shape, upstream)
-        np.matmul(upstream, params.weights[i].T, out=buf)
+        buf = _times_wt(upstream, params.weights[i], _scratch(h.shape, upstream))
         buf *= h > 0.0
         upstream = buf
 
 
-def mlp_backward_cached(params: MlpParams, cache: ForwardCache,
-                        output_grad: np.ndarray) -> tuple[MlpParams, np.ndarray]:
-    """Exact gradients of <output, output_grad> w.r.t. parameters and input."""
+def mlp_backward_cached(params: MlpParams, cache: ForwardCache, output_grad: np.ndarray,
+                        out: MlpParams | None = None) -> tuple[MlpParams, np.ndarray]:
+    """Exact gradients of <output, output_grad> w.r.t. parameters and input.
+
+    The parameter gradients go into ``out`` when it is given (every element
+    is overwritten) and into a fresh container otherwise."""
     g, _ = _as_batch(output_grad, params.sizes[-1], "output_grad")
     if g.shape[0] != cache.x.shape[0]:
         raise ValueError("output_grad batch size does not match forward input")
-    grads = zeros_like_params(params)
+    grads = zeros_like_params(params) if out is None else out
     return grads, _backprop(params, cache, g, grads)
 
 
@@ -232,11 +251,22 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams,
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     m, v, g = state.m.flat, state.v.flat, grads.flat
+    # m, v and the step lr * (m / bc1) / (sqrt(v / bc2) + eps), op for op,
+    # with the temporaries in two shared scratch vectors
+    a = _scratch(g.shape, None)
+    b = _scratch(g.shape, a)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * np.square(g)
-    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    np.square(g, out=a)
+    v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    params.flat -= a
     return params, state
 
 

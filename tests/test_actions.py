@@ -250,3 +250,10 @@ class TestBoundsAndNoise:
         b = ActionBounds(low=np.array([0.0]), high=np.array([2.0]))
         with pytest.raises(ValueError):
             _ = b.scale
+
+    def test_scale_is_the_half_range_and_read_only(self):
+        b = ActionBounds(low=np.array([-0.5, -2.0]), high=np.array([0.5, 2.0]))
+        assert np.array_equal(b.scale, [0.5, 2.0])
+        assert b.scale is b.scale  # worked out once, at construction
+        with pytest.raises(ValueError):
+            b.scale[0] = 1.0

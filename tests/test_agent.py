@@ -7,7 +7,7 @@ import pytest
 import soprl.replay
 from soprl import nets
 from soprl.actions import ActionBounds
-from soprl.agent import (AgentConfig, SopAgent, load_agent_params, save_agent,
+from soprl.agent import (VARIANTS, AgentConfig, SopAgent, load_agent_params, save_agent,
                          soft_update_targets, train)
 from soprl.envs import PointMass1D, make_env
 
@@ -508,3 +508,33 @@ def test_warm_update_allocates_nothing_of_batch_size(variant):
     finally:
         tracemalloc.stop()
     assert peak <= 256 * 1024
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_warm_update_builds_no_params(variant, monkeypatch):
+    """Gradients go into buffers the agent made once; no update builds an
+    MlpParams, weighted (PER) or not."""
+    cfg = AgentConfig(variant=variant, batch_size=32, hidden_dim=16, buffer_capacity=2000)
+    agent = make_agent(cfg, state_dim=2, action_dim=2, scale=0.1)
+    batch = batch_of(32, state_dim=2, action_dim=2, seed=6)
+    weights = np.linspace(0.5, 1.0, 32)
+
+    def update():
+        agent.q_update(batch, agent.compute_q_targets(batch))
+        agent.q_update(batch, agent.compute_q_targets(batch), weights)
+        agent.policy_update(batch)
+        soft_update_targets(agent.state, cfg.tau)
+
+    update()
+    built = []
+    post_init = nets.MlpParams.__post_init__
+
+    def counting_post_init(self):
+        built.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(nets.MlpParams, "__post_init__", counting_post_init)
+    nets.zeros_like_params(agent.state.q1)
+    assert len(built) == 1  # the probe sees a build
+    update()
+    assert len(built) == 1

@@ -92,6 +92,18 @@ def test_unwritable_out_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
     assert (tmp_path / "taken").read_text() == "a file, not a directory"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_run_where_every_seed_fails_writes_no_aggregate(tmp_path, monkeypatch, capsys):
+    # lr = 1e300 passes the config checks, and the first update overflows
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", "--env", "pointmass1d", *SMALL_RUN, "--lr", "1e300",
+                   "--out", "o") == 1
+    out = capsys.readouterr().out
+    assert "seed 0: FAILED (" in out
+    assert "CSV output in" not in out
+    assert not (tmp_path / "o" / "aggregate.csv").exists()
+
+
 class TestAnalyzeCommand:
     def test_counts_csv_schema(self, tmp_path):
         out = tmp_path / "counts.csv"

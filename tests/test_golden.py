@@ -1,10 +1,11 @@
 """Golden CSV bytes: training and count-curve output pinned by sha256.
 
-Every variant x sampler trains on pointmass2d with small nets, plus one
-pointmass1d run at the desk network size (hidden 64, batch 256).  The pinned
-hashes were captured before the network engine moved to reused activation
-buffers and flat parameter vectors; a change that alters any training
-arithmetic changes a hash.  The four ``analyze counts`` schemes are pinned
+Every variant x sampler trains on pointmass2d with small nets, plus two runs
+at the desk network size (hidden 64, batch 256): pointmass1d sop/ere, and
+pointmass2d sop_ig/per for the 2-wide policy output.  The pinned hashes were
+captured before the network engine moved to reused activation buffers, flat
+parameter vectors and caller-owned gradient buffers; a change that alters any
+training arithmetic changes a hash.  The four ``analyze counts`` schemes are pinned
 the same way at a small size.  To re-pin after an intended change, run this
 file as a script: it prints both tables.
 """
@@ -32,9 +33,12 @@ DESK = {"env": "pointmass1d", "variant": "sop", "sampler": "ere", "steps": 400,
 CONFIGS = {f"{v}-{s}": {**SMALL, "variant": v, "sampler": s}
            for v in VARIANTS for s in SAMPLERS}
 CONFIGS["desk-sop-ere"] = DESK
+CONFIGS["desk-sop_ig-per"] = {**DESK, "env": "pointmass2d", "variant": "sop_ig",
+                              "sampler": "per"}
 
 GOLDEN = {
     "desk-sop-ere": "0f5d1d983d4fc1d759b5d36a59be6804fb867117b769169b3d2796031d0d0f0e",
+    "desk-sop_ig-per": "816a526076ab69dee65ee12a00b9b1988192c7569612481768bb29f22cacd630",
     "no_norm-ere": "5187d43b9a8bac7ff4112d77cd3459efa58f43ed64ad11b89372e1a0692e8b8c",
     "no_norm-exp": "0a57c9bdeecb25985b5d6ec29a954bf6c00ac196c04f0d091c4c650db059e154",
     "no_norm-per": "41290a0033ae3b6c6ba2eb9c699fee7ac34fcb65f888f8911aac3f8a6bb5880a",

@@ -11,6 +11,20 @@ def make_params(weights, biases):
                           [np.asarray(b, dtype=float) for b in biases])
 
 
+def same_bits(a, b):
+    """Bitwise equality, so -0.0 and +0.0 (and NaN payloads) count as different."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def wide_floats(rng, shape, zeros=0.2):
+    """Normal draws scaled over 16 decades, with a share of +0.0 and -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    x[rng.random(shape) < zeros] = 0.0
+    x[rng.random(shape) < zeros / 2] *= -0.0
+    return x
+
+
 def backward(params, x, output_grad):
     _, cache = nets.mlp_forward_cached(params, x)
     return nets.mlp_backward_cached(params, cache, output_grad)
@@ -203,6 +217,33 @@ class TestCacheContract:
         assert np.array_equal(params.flat + 1.0, twin.flat)
 
 
+class TestGradientBuffers:
+    """``out=`` hands the backward pass a caller-owned gradient container."""
+
+    @pytest.mark.parametrize("dout", [1, 2])
+    def test_out_is_returned_and_fully_overwritten(self, dout):
+        rng = np.random.default_rng(17)
+        params = nets.init_mlp(3, 8, dout, rng)
+        x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, dout))
+        _, cache = nets.mlp_forward_cached(params, x)
+        fresh, fresh_input = nets.mlp_backward_cached(params, cache, g)
+        out = nets.zeros_like_params(params)
+        out.flat[:] = np.nan  # any element left unwritten stays NaN
+        grads, input_grad = nets.mlp_backward_cached(params, cache, g, out=out)
+        assert grads is out
+        assert same_bits(out.flat, fresh.flat)
+        assert same_bits(input_grad, fresh_input)
+
+    def test_default_still_returns_a_fresh_container(self):
+        rng = np.random.default_rng(18)
+        params = nets.init_mlp(3, 8, 1, rng)
+        _, cache = nets.mlp_forward_cached(params, rng.standard_normal((4, 3)))
+        g = rng.standard_normal((4, 1))
+        first, _ = nets.mlp_backward_cached(params, cache, g)
+        second, _ = nets.mlp_backward_cached(params, cache, g)
+        assert not np.shares_memory(first.flat, second.flat)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         rng = np.random.default_rng(7)
@@ -245,6 +286,26 @@ class TestAdam:
         grads.weights[1][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="W1"):
             nets.adam_step(state, params, grads, lr=0.1)
+
+    def test_matches_the_temporaries_formula_bitwise(self):
+        rng = np.random.default_rng(19)
+        params = nets.init_mlp(3, 16, 2, rng)
+        ref = params.flat.copy()
+        m, v = np.zeros_like(ref), np.zeros_like(ref)
+        state = nets.AdamState.for_params(params)
+        grads = nets.zeros_like_params(params)
+        b1, b2, eps, lr = nets.ADAM_BETA1, nets.ADAM_BETA2, nets.ADAM_EPS, 3e-4
+        for t in range(1, 51):
+            grads.flat[:] = wide_floats(rng, grads.flat.shape) * 1e-6
+            nets.adam_step(state, params, grads, lr=lr)
+            g = grads.flat
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            assert same_bits(state.m.flat, m) and same_bits(state.v.flat, v)
+            assert same_bits(params.flat, ref)
 
     def test_step_counter_increments(self):
         params = make_params([[[0.0]]], [[0.0]])
@@ -338,3 +399,37 @@ def test_backward_shapes_congruent_for_any_architecture(din, hidden, dout, seed)
     for (_, p), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
         assert p.shape == g.shape
     assert input_grad.shape == (1, din)
+
+
+def matmul_backward(params, cache, upstream):
+    """Reference backward pass with every step a plain ``np.matmul``."""
+    weights, biases = [None] * params.n_layers, [None] * params.n_layers
+    for i in range(params.n_layers - 1, -1, -1):
+        inp = cache.x if i == 0 else cache.hidden[i - 1]
+        weights[i] = np.matmul(inp.T, upstream)
+        biases[i] = np.sum(upstream, axis=0)
+        upstream = np.matmul(upstream, params.weights[i].T)
+        if i > 0:
+            upstream = upstream * (cache.hidden[i - 1] > 0.0)
+    return np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair]), upstream
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 64), st.integers(1, 4),
+       st.integers(0, 2 ** 31 - 1))
+def test_one_wide_output_backward_is_bitwise_the_matmul(rows, hidden, din, seed):
+    # the step back through a 1-wide output layer is a broadcast product;
+    # every gradient, signed zeros included, must equal the matmul's bits
+    rng = np.random.default_rng(seed)
+    params = nets.init_mlp(din, hidden, 1, rng)
+    params.weights[-1][...] = wide_floats(rng, params.weights[-1].shape)
+    _, cache = nets.mlp_forward_cached(params, rng.standard_normal((rows, din)))
+    g = wide_floats(rng, (rows, 1))
+    w = params.weights[-1]
+    step = nets._times_wt(g, w, np.full((rows, hidden), np.nan))
+    assert same_bits(step, np.matmul(g, w.T))
+    grads, input_grad = nets.mlp_backward_cached(params, cache, g)
+    ref_flat, ref_input = matmul_backward(params, cache, g)
+    assert same_bits(grads.flat, ref_flat)
+    assert same_bits(input_grad, ref_input)
+    assert same_bits(nets.mlp_input_grad(params, cache, g), ref_input)
