@@ -33,8 +33,7 @@ class AgentConfig:
 
     gamma: float = 0.99
     tau: float = 0.005
-    sigma_explore: float = 0.29
-    sigma_target: float = 0.29
+    sigma: float = 0.29
     batch_size: int = 256
     lr: float = 3e-4
     hidden_dim: int = 64
@@ -42,7 +41,6 @@ class AgentConfig:
     sampler: str = "uniform"
     variant: str = "sop"
     eta0: float = 0.995
-    ere_c_min: int | None = None
     per_beta1: float = 0.4
     per_beta2: float = 0.4
     exp_lambda: float = 5e-6
@@ -55,13 +53,13 @@ class AgentConfig:
         """Every message starts with the offending field's name and a colon."""
         checks = (("gamma", 0.0 < self.gamma < 1.0, "must be in (0, 1)"),
                   ("tau", 0.0 < self.tau <= 1.0, "must be in (0, 1]"),
-                  ("sigma_explore", self.sigma_explore > 0.0, "must be > 0"),
-                  ("sigma_target", self.sigma_target >= 0.0, "must be >= 0"),
+                  ("sigma", 0.0 < self.sigma < np.inf, "must be finite and > 0"),
                   ("lr", 0.0 < self.lr < np.inf, "must be finite and > 0"),
                   ("batch_size", self.batch_size >= 1, "must be >= 1"),
                   ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
                   ("buffer_capacity", self.buffer_capacity >= 1, "must be >= 1"),
                   ("warmup_steps", self.warmup_steps >= 0, "must be >= 0"),
+                  ("eta0", 0.0 < self.eta0 <= 1.0, "must be in (0, 1]"),
                   ("per_beta1", 0.0 <= self.per_beta1 < np.inf, "must be finite and >= 0"),
                   ("per_beta2", 0.0 <= self.per_beta2 < np.inf, "must be finite and >= 0"),
                   ("exp_lambda", 0.0 < self.exp_lambda < np.inf, "must be in (0, inf)"),
@@ -70,12 +68,9 @@ class AgentConfig:
         for name, ok, msg in checks:
             if not ok:
                 raise ValueError(f"{name}: {msg}")
-        cmin = self.ere_config().resolved_c_min(self.buffer_capacity, self.batch_size)
-        if self.batch_size > cmin:
-            raise ValueError(f"batch_size: {self.batch_size} exceeds ERE c_min {cmin}")
 
     def ere_config(self) -> EreConfig:
-        return EreConfig(eta0=self.eta0, c_min=self.ere_c_min)
+        return EreConfig(eta0=self.eta0)
 
     @property
     def twin_q(self) -> bool:
@@ -88,7 +83,7 @@ class AgentConfig:
 
 @dataclass
 class AgentState:
-    """Policy/Q parameters, their targets, optimizer moments, and counters."""
+    """Policy/Q parameters, their targets, optimizer moments, and the step count."""
 
     policy: nets.MlpParams
     q1: nets.MlpParams
@@ -99,7 +94,6 @@ class AgentState:
     q1_adam: nets.AdamState
     q2_adam: nets.AdamState
     env_steps: int = 0
-    updates: int = 0
 
 
 def init_agent_state(state_dim: int, action_dim: int, hidden_dim: int,
@@ -160,16 +154,14 @@ class SopAgent:
         mu = nets.mlp_forward(self.state.policy, states)
         return mu, self.head.center(mu)
 
-    def act(self, state_vec: np.ndarray, mode: str = "explore",
-            rng: np.random.Generator | None = None) -> np.ndarray:
+    def act(self, state_vec: np.ndarray, mode: str = "explore") -> np.ndarray:
         if mode not in ("explore", "evaluate"):
             raise ValueError("mode must be 'explore' or 'evaluate'")
-        rng = rng if rng is not None else self.rng_explore
         _, center = self.policy_mu(state_vec)
         noise = np.zeros(self.action_dim)
         if mode == "explore":
-            noise = ((self.cfg.sigma_explore * self.head.noise_unit)
-                     * rng.standard_normal(self.action_dim))
+            noise = ((self.cfg.sigma * self.head.noise_unit)
+                     * self.rng_explore.standard_normal(self.action_dim))
         return self.head.action(center, noise)
 
     # -- updates -----------------------------------------------------------
@@ -187,7 +179,7 @@ class SopAgent:
         center = self.head.center(nets.mlp_forward(self.state.policy, s2))
         if delta is None:
             if cfg.smooths_targets:
-                delta = cfg.sigma_target * self.rng_target.standard_normal(
+                delta = cfg.sigma * self.rng_target.standard_normal(
                     (n, self.action_dim))
             else:
                 delta = np.zeros((n, self.action_dim))
@@ -227,7 +219,6 @@ class SopAgent:
             grad_out = (two_w * err / n)[:, None]
             nets.mlp_backward_cached(params, cache, grad_out, out=grads)
             nets.adam_step(adam, params, grads, cfg.lr)
-        self.state.updates += 1
         td = 0.5 * (abs_errs[0] + abs_errs[1]) if len(abs_errs) == 2 else abs_errs[0]
         return total_loss / len(abs_errs), td
 
@@ -254,7 +245,7 @@ class SopAgent:
         mu_grad = vjp(q_in_grad[:, self.state_dim:])
         if not math.isfinite(objective):
             raise FloatingPointError("non-finite policy objective")
-        grads, _ = nets.mlp_backward_cached(self.state.policy, cache, mu_grad, out=out)
+        grads = nets.mlp_backward_cached(self.state.policy, cache, mu_grad, out=out)
         return objective, grads
 
     def policy_update(self, batch: dict[str, np.ndarray]) -> float:
@@ -325,7 +316,7 @@ def _diagnostics(agent: SopAgent, diag: dict[str, np.ndarray], step: int,
     # policy entropy at a few reference states
     refs = post_mu[:: max(1, len(post_mu) // 5)][:5]
     seeds = [derive_seed(seed, "entropy", step, i) for i in range(len(refs))]
-    entropy = agent.head.entropy(refs, agent.cfg.sigma_explore, seeds)
+    entropy = agent.head.entropy(refs, agent.cfg.sigma, seeds)
     return entropy, sat, pre, post
 
 
@@ -419,29 +410,3 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
                 next_eval += eval_interval
     return record, agent
 
-
-def save_agent(path: str, agent: SopAgent) -> None:
-    """Checkpoint all parameter sets and counters into one npz archive."""
-    arrays: dict[str, np.ndarray] = {}
-    parts = {"policy": agent.state.policy, "q1": agent.state.q1, "q2": agent.state.q2,
-             "q1_target": agent.state.q1_target, "q2_target": agent.state.q2_target}
-    for prefix, params in parts.items():
-        for name, arr in params.named_tensors():
-            arrays[f"{prefix}.{name}"] = arr
-    arrays["counters"] = np.array([agent.state.env_steps, agent.state.updates],
-                                  dtype=np.int64)
-    np.savez(path, **arrays)
-
-
-def load_agent_params(path: str) -> dict[str, nets.MlpParams | np.ndarray]:
-    """Load a checkpoint back into parameter containers keyed by network."""
-    out: dict[str, nets.MlpParams | np.ndarray] = {}
-    with np.load(path) as data:
-        prefixes = sorted({k.split(".")[0] for k in data.files if "." in k})
-        for prefix in prefixes:
-            n = len([k for k in data.files if k.startswith(prefix + ".W")])
-            out[prefix] = nets.MlpParams(
-                [np.asarray(data[f"{prefix}.W{i}"]) for i in range(n)],
-                [np.asarray(data[f"{prefix}.b{i}"]) for i in range(n)])
-        out["counters"] = np.asarray(data["counters"])
-    return out

@@ -58,15 +58,14 @@ class ExperimentConfig:
                               f"expected one of {env_names()}")
 
 
-# stable config-file key / run flag -> the AgentConfig fields it sets
+# stable config-file key / run flag -> the AgentConfig field it sets
 AGENT_KEYS = {
-    "variant": ("variant",), "sampler": ("sampler",), "gamma": ("gamma",),
-    "tau": ("tau",), "sigma": ("sigma_explore", "sigma_target"),
-    "batch": ("batch_size",), "lr": ("lr",), "hidden": ("hidden_dim",),
-    "buffer": ("buffer_capacity",), "eta0": ("eta0",), "beta1": ("per_beta1",),
-    "beta2": ("per_beta2",), "exp_lambda": ("exp_lambda",), "warmup": ("warmup_steps",),
+    "variant": "variant", "sampler": "sampler", "gamma": "gamma", "tau": "tau",
+    "sigma": "sigma", "batch": "batch_size", "lr": "lr", "hidden": "hidden_dim",
+    "buffer": "buffer_capacity", "eta0": "eta0", "beta1": "per_beta1",
+    "beta2": "per_beta2", "exp_lambda": "exp_lambda", "warmup": "warmup_steps",
 }
-_KEY_OF_FIELD = {f: key for key, agent_fields in AGENT_KEYS.items() for f in agent_fields}
+_KEY_OF_FIELD = {f: key for key, f in AGENT_KEYS.items()}
 
 
 def config_defaults() -> dict[str, object]:
@@ -74,7 +73,7 @@ def config_defaults() -> dict[str, object]:
     run = {f.name: None if f.default is MISSING else f.default
            for f in fields(ExperimentConfig) if f.name != "agent"}
     agent = AgentConfig()
-    return {**run, **{key: getattr(agent, fs[0]) for key, fs in AGENT_KEYS.items()}}
+    return {**run, **{key: getattr(agent, f) for key, f in AGENT_KEYS.items()}}
 
 
 def _coerce(key: str, value: str, default):
@@ -95,7 +94,7 @@ def _coerce(key: str, value: str, default):
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines; '#' starts a comment; a key may appear once."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -108,6 +107,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"config line not key=value: '{raw.strip()}'")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ConfigError(f"{key}: repeated in config file '{path}'")
         values[key] = val
     return values
 
@@ -129,8 +130,7 @@ def parse_config(overrides: dict[str, object], config_file: str | Path | None = 
         merged[key] = _coerce(key, val, defaults[key]) if isinstance(val, str) else val
     if "env" not in merged:
         raise ConfigError("env: required key missing")
-    agent_values = {f: merged[key] for key, agent_fields in AGENT_KEYS.items()
-                    if key in merged for f in agent_fields}
+    agent_values = {f: merged[key] for key, f in AGENT_KEYS.items() if key in merged}
     run_values = {key: val for key, val in merged.items() if key not in AGENT_KEYS}
     try:
         return ExperimentConfig(**run_values, agent=AgentConfig(**agent_values))

@@ -17,8 +17,9 @@ steady-state update therefore allocates nothing of batch size.  The cache a
 cached forward returns points into the network's buffers: it is valid until
 the next cached forward of the same params object.  Uncached forwards
 (``mlp_forward``), batches of another size and passes of other networks
-leave it intact.  Outputs and input gradients are fresh arrays; parameter
-gradients are too, unless the caller passes its own buffer as ``out``.
+leave it intact.  Outputs and input gradients (``mlp_input_grad``) are fresh
+arrays; parameter gradients (``mlp_backward_cached``, which skips the input
+gradient) are too, unless the caller passes its own buffer as ``out``.
 """
 
 from __future__ import annotations
@@ -194,40 +195,48 @@ def _times_wt(upstream: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
 
 
 def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
-              grads: MlpParams | None) -> np.ndarray:
-    """Carry ``upstream`` from the output back to the input, writing the
-    parameter gradients into ``grads`` when it is given; the ReLU mask of a
-    hidden layer is ``h > 0``, which equals ``z > 0``."""
+              grads: MlpParams | None) -> np.ndarray | None:
+    """Carry ``upstream`` back from the output: into the parameter gradients
+    ``grads`` when given, else to the input, whose gradient it returns.  The
+    ReLU mask of a hidden layer is ``h > 0``, which equals ``z > 0``."""
     for i in range(params.n_layers - 1, -1, -1):
         if grads is not None:
             inp = cache.x if i == 0 else cache.hidden[i - 1]
             np.matmul(inp.T, upstream, out=grads.weights[i])
             np.sum(upstream, axis=0, out=grads.biases[i])
         if i == 0:
-            return upstream @ params.weights[0].T
+            return None if grads is not None else upstream @ params.weights[0].T
         h = cache.hidden[i - 1]
         buf = _times_wt(upstream, params.weights[i], _scratch(h.shape, upstream))
         buf *= h > 0.0
         upstream = buf
 
 
-def mlp_backward_cached(params: MlpParams, cache: ForwardCache, output_grad: np.ndarray,
-                        out: MlpParams | None = None) -> tuple[MlpParams, np.ndarray]:
-    """Exact gradients of <output, output_grad> w.r.t. parameters and input.
-
-    The parameter gradients go into ``out`` when it is given (every element
-    is overwritten) and into a fresh container otherwise."""
+def _output_grad(params: MlpParams, cache: ForwardCache,
+                 output_grad: np.ndarray) -> np.ndarray:
+    """``output_grad`` as a batch with the cached forward's rows."""
     g, _ = _as_batch(output_grad, params.sizes[-1], "output_grad")
     if g.shape[0] != cache.x.shape[0]:
         raise ValueError("output_grad batch size does not match forward input")
+    return g
+
+
+def mlp_backward_cached(params: MlpParams, cache: ForwardCache, output_grad: np.ndarray,
+                        out: MlpParams | None = None) -> MlpParams:
+    """Exact gradients of <output, output_grad> w.r.t. the parameters only.
+
+    They go into ``out`` when it is given (every element is overwritten) and
+    into a fresh container otherwise."""
+    g = _output_grad(params, cache, output_grad)
     grads = zeros_like_params(params) if out is None else out
-    return grads, _backprop(params, cache, g, grads)
+    _backprop(params, cache, g, grads)
+    return grads
 
 
 def mlp_input_grad(params: MlpParams, cache: ForwardCache,
                    output_grad: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the input only; skips the parameter gradients."""
-    return _backprop(params, cache, output_grad, None)
+    return _backprop(params, cache, _output_grad(params, cache, output_grad), None)
 
 
 @dataclass
@@ -320,7 +329,7 @@ def finite_diff_check(params: MlpParams, x: np.ndarray, probe_step: float,
         output_grad = np.ones((x2d.shape[0], params.sizes[-1]))
     if analytic is None:
         _, cache = mlp_forward_cached(params, x2d)
-        analytic, _ = mlp_backward_cached(params, cache, output_grad)
+        analytic = mlp_backward_cached(params, cache, output_grad)
     safe_units = _kink_safe_units(params, x2d, probe_step)
 
     def objective() -> float:

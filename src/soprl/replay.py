@@ -70,7 +70,6 @@ class ReplayBuffer:
         self.dones = np.zeros(capacity, dtype=bool)
         self.cursor = 0
         self.size = 0
-        self.inserted = 0  # monotone count of pushes ever made
 
     def push(self, t: Transition) -> int:
         """Insert one transition, evicting the oldest when full; returns the slot."""
@@ -89,20 +88,11 @@ class ReplayBuffer:
         self.dones[slot] = bool(t.done)
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
-        self.inserted += 1
         return slot
 
     def recent_slot(self, recency: np.ndarray | int) -> np.ndarray | int:
         """Map most-recent-first index (0 = newest) to a physical slot."""
         return (self.cursor - 1 - recency) % self.capacity
-
-    def get_transition(self, recency: int) -> Transition:
-        if not 0 <= recency < self.size:
-            raise IndexError(f"recency {recency} out of range for size {self.size}")
-        slot = self.recent_slot(recency)
-        return Transition(self.states[slot].copy(), self.actions[slot].copy(),
-                          float(self.rewards[slot]), self.next_states[slot].copy(),
-                          bool(self.dones[slot]))
 
     def gather(self, slots: np.ndarray) -> dict[str, np.ndarray]:
         return {
@@ -112,24 +102,6 @@ class ReplayBuffer:
             "next_states": self.next_states[slots],
             "dones": self.dones[slots],
         }
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Oldest-to-newest dump of the live contents plus insertion counters."""
-        order = self.recent_slot(np.arange(self.size))[::-1]
-        out = self.gather(order)
-        out["insertion_index"] = np.arange(self.inserted - self.size, self.inserted)
-        return out
-
-    @classmethod
-    def restore(cls, snap: dict[str, np.ndarray], capacity: int) -> "ReplayBuffer":
-        n, state_dim = snap["states"].shape
-        buf = cls(capacity, state_dim, snap["actions"].shape[1])
-        for i in range(n):
-            buf.push(Transition(snap["states"][i], snap["actions"][i],
-                                snap["rewards"][i], snap["next_states"][i],
-                                snap["dones"][i]))
-        buf.inserted = int(snap["insertion_index"][-1]) + 1 if n else 0
-        return buf
 
 
 def _require_nonempty(buffer: ReplayBuffer) -> None:

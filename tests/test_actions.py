@@ -229,16 +229,18 @@ class TestSquashedEntropy:
 class TestBoundsAndNoise:
     def test_noise_config_validates(self):
         from soprl.agent import AgentConfig
-        assert AgentConfig().sigma_explore == 0.29
-        for name in ("sigma_explore", "sigma_target"):
-            with pytest.raises(ValueError, match=name):
-                AgentConfig(**{name: -0.1})
+        assert AgentConfig().sigma == 0.29
+        with pytest.raises(ValueError, match="^sigma: "):
+            AgentConfig(sigma=-0.1)
 
     def test_sigma_explore_must_be_positive(self):
+        # one sigma scales exploration and target noise; no_smoothing is the
+        # variant without target noise
         from soprl.agent import AgentConfig
-        with pytest.raises(ValueError, match="sigma_explore"):
-            AgentConfig(sigma_explore=0.0)
-        assert AgentConfig(sigma_target=0.0).sigma_target == 0.0
+        for sigma in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^sigma: must be finite and > 0"):
+                AgentConfig(sigma=sigma)
+        assert not AgentConfig(variant="no_smoothing").smooths_targets
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

@@ -62,7 +62,9 @@ class TestRunCommand:
     (["run", *SMALL_RUN, "--sampler", "per", "--beta1", "-0.5"], "beta1"),
     (["run", *SMALL_RUN, "--sampler", "per", "--beta2", "nan"], "beta2"),
     (["run", *SMALL_RUN, "--sampler", "per", "--beta2", "inf"], "beta2"),
-    (["run", *SMALL_RUN, "--lr", "inf"], "lr")])
+    (["run", *SMALL_RUN, "--lr", "inf"], "lr"),
+    (["run", *SMALL_RUN, "--sigma", "inf"], "sigma"),
+    (["run", *SMALL_RUN, "--sigma", "nan"], "sigma")])
 def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.chdir(tmp_path)

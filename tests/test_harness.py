@@ -25,7 +25,7 @@ class TestParseConfig:
         assert cfg.agent == AgentConfig()
         assert cfg.agent.gamma == 0.99
         assert cfg.agent.lr == 3e-4
-        assert cfg.agent.sigma_explore == cfg.agent.sigma_target == 0.29
+        assert cfg.agent.sigma == 0.29
         assert cfg.agent.eta0 == 0.995
         assert cfg.agent.per_beta1 == 0.4 and cfg.agent.per_beta2 == 0.4
         assert cfg.agent.exp_lambda == 5e-6
@@ -55,12 +55,18 @@ class TestParseConfig:
         cfg = parse_config({"sigma": "0.25"}, config_file=path)
         assert cfg.env == "pointmass1d"
         assert cfg.steps == 500
-        assert cfg.agent.sigma_explore == cfg.agent.sigma_target == 0.25
+        assert cfg.agent.sigma == 0.25
 
     def test_file_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("learning = 1\n")
         with pytest.raises(ConfigError, match="learning"):
+            parse_config({"env": "pointmass1d"}, config_file=path)
+
+    def test_file_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr = 0.5\nlr = 0.001\n")
+        with pytest.raises(ConfigError, match="^lr: repeated"):
             parse_config({"env": "pointmass1d"}, config_file=path)
 
     def test_bad_file_line_rejected(self, tmp_path):
@@ -199,16 +205,14 @@ class TestRunExperiment:
 
 class TestEvaluate:
     def test_deterministic_policy_zero_std_per_fixed_start(self):
-        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16,
-                          ere_c_min=16)
+        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
         env = make_env("pointmass1d")
         mean, std, _ = evaluate_policy(agent, env, rollouts=1, seed=3)
         assert std == 0.0
 
     def test_zero_policy_from_half_start(self):
-        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16,
-                          ere_c_min=16)
+        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
         for _, arr in agent.state.policy.named_tensors():
             arr[...] = 0.0
@@ -222,16 +226,14 @@ class TestEvaluate:
         assert std == 0.0
 
     def test_rollouts_use_distinct_seeds(self):
-        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16,
-                          ere_c_min=16)
+        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
         env = make_env("pointmass1d")
         mean, std, _ = evaluate_policy(agent, env, rollouts=5, seed=2)
         assert std > 0.0  # different starts produce different returns
 
     def test_rollout_count_validated(self):
-        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16,
-                          ere_c_min=16)
+        cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
         with pytest.raises(ValueError):
             evaluate_policy(agent, make_env("pointmass1d"), rollouts=0, seed=0)

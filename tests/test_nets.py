@@ -26,8 +26,10 @@ def wide_floats(rng, shape, zeros=0.2):
 
 
 def backward(params, x, output_grad):
+    """Parameter and input gradients of <output, output_grad>."""
     _, cache = nets.mlp_forward_cached(params, x)
-    return nets.mlp_backward_cached(params, cache, output_grad)
+    return (nets.mlp_backward_cached(params, cache, output_grad),
+            nets.mlp_input_grad(params, cache, output_grad))
 
 
 def finite_diff_grads(params, x, output_grad, h=1e-6):
@@ -133,14 +135,23 @@ class TestBackward:
         for (_, p), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
             assert p.shape == g.shape
 
+    @pytest.mark.parametrize("grad_fn", [nets.mlp_backward_cached, nets.mlp_input_grad])
+    def test_output_grad_rows_must_match_the_forward(self, grad_fn):
+        # one row would otherwise broadcast over the cached batch
+        rng = np.random.default_rng(19)
+        params = nets.init_mlp(3, 4, 1, rng)
+        _, cache = nets.mlp_forward_cached(params, rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="batch size"):
+            grad_fn(params, cache, np.ones((1, 1)))
+
     def test_input_grad_shortcut_matches_full_backward(self):
         rng = np.random.default_rng(6)
         params = nets.init_mlp(4, 9, 2, rng)
         x = rng.standard_normal((5, 4))
         g = rng.standard_normal((5, 2))
         _, cache = nets.mlp_forward_cached(params, x)
-        _, full = nets.mlp_backward_cached(params, cache, g)
-        assert np.array_equal(nets.mlp_input_grad(params, cache, g), full)
+        _, full = matmul_backward(params, cache, g)
+        assert same_bits(nets.mlp_input_grad(params, cache, g), full)
 
 
 class TestCacheContract:
@@ -158,19 +169,19 @@ class TestCacheContract:
         nets.mlp_forward(other, rng.standard_normal((5, 3)))
         nets.mlp_forward(params, rng.standard_normal((5, 3)))
         nets.mlp_forward_cached(params, rng.standard_normal(3))
-        grads, input_grad = nets.mlp_backward_cached(params, cache, g)
-        input_only = nets.mlp_input_grad(params, cache, g)
+        grads = nets.mlp_backward_cached(params, cache, g)
+        input_grad = nets.mlp_input_grad(params, cache, g)
         expected, expected_input = backward(params.copy(), x, g)
         assert np.array_equal(grads.flat, expected.flat)
         assert np.array_equal(input_grad, expected_input)
-        assert np.array_equal(input_only, expected_input)
 
     def test_outputs_and_gradients_are_fresh_arrays(self):
         rng = np.random.default_rng(13)
         params = nets.init_mlp(3, 8, 2, rng)
         x, g = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
         y1, cache = nets.mlp_forward_cached(params, x)
-        grads1, input1 = nets.mlp_backward_cached(params, cache, g)
+        grads1 = nets.mlp_backward_cached(params, cache, g)
+        input1 = nets.mlp_input_grad(params, cache, g)
         kept = y1.copy(), grads1.flat.copy(), input1.copy()
         y2, cache = nets.mlp_forward_cached(params, x + 1.0)
         nets.mlp_backward_cached(params, cache, g)
@@ -180,8 +191,8 @@ class TestCacheContract:
         assert np.array_equal(input1, kept[2])
 
     @pytest.mark.parametrize("build", ["init_mlp", "copy", "zeros_like_params", "lists",
-                                       "adam_moment", "load_agent_params"])
-    def test_tensors_are_views_of_flat(self, build, tmp_path):
+                                       "adam_moment", "constructor"])
+    def test_tensors_are_views_of_flat(self, build):
         params = nets.init_mlp(3, 5, 2, np.random.default_rng(14))
         if build == "copy":
             params = params.copy()
@@ -192,13 +203,8 @@ class TestCacheContract:
                                  [b.copy() for b in params.biases])
         elif build == "adam_moment":
             params = nets.AdamState.for_params(params).v
-        elif build == "load_agent_params":
-            from soprl.actions import ActionBounds
-            from soprl.agent import AgentConfig, SopAgent, load_agent_params, save_agent
-            agent = SopAgent(3, 2, ActionBounds.symmetric(1.0, 2),
-                             AgentConfig(buffer_capacity=2000, hidden_dim=5), seed=14)
-            save_agent(str(tmp_path / "agent.npz"), agent)
-            params = load_agent_params(str(tmp_path / "agent.npz"))["q1_target"]
+        elif build == "constructor":  # from views into another network's flat
+            params = nets.MlpParams(params.weights, params.biases)
         assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
         offset = 0
         for _, arr in params.named_tensors():
@@ -226,21 +232,19 @@ class TestGradientBuffers:
         params = nets.init_mlp(3, 8, dout, rng)
         x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, dout))
         _, cache = nets.mlp_forward_cached(params, x)
-        fresh, fresh_input = nets.mlp_backward_cached(params, cache, g)
+        fresh = nets.mlp_backward_cached(params, cache, g)
         out = nets.zeros_like_params(params)
         out.flat[:] = np.nan  # any element left unwritten stays NaN
-        grads, input_grad = nets.mlp_backward_cached(params, cache, g, out=out)
-        assert grads is out
+        assert nets.mlp_backward_cached(params, cache, g, out=out) is out
         assert same_bits(out.flat, fresh.flat)
-        assert same_bits(input_grad, fresh_input)
 
     def test_default_still_returns_a_fresh_container(self):
         rng = np.random.default_rng(18)
         params = nets.init_mlp(3, 8, 1, rng)
         _, cache = nets.mlp_forward_cached(params, rng.standard_normal((4, 3)))
         g = rng.standard_normal((4, 1))
-        first, _ = nets.mlp_backward_cached(params, cache, g)
-        second, _ = nets.mlp_backward_cached(params, cache, g)
+        first = nets.mlp_backward_cached(params, cache, g)
+        second = nets.mlp_backward_cached(params, cache, g)
         assert not np.shares_memory(first.flat, second.flat)
 
 
@@ -336,8 +340,7 @@ class TestFiniteDiffCheck:
         params = nets.init_mlp(3, 6, 1, rng)
         x = rng.standard_normal((4, 3))
         _, cache = nets.mlp_forward_cached(params, x)
-        analytic, _ = nets.mlp_backward_cached(params, cache,
-                                               np.ones((4, 1)))
+        analytic = nets.mlp_backward_cached(params, cache, np.ones((4, 1)))
         # double the largest output-layer weight gradient
         idx = np.unravel_index(np.argmax(np.abs(analytic.weights[2])),
                                analytic.weights[2].shape)
@@ -370,23 +373,6 @@ class TestDeterminismAndCheckpoint:
         b = nets.init_mlp(3, 8, 2, np.random.default_rng(42))
         x = np.linspace(-1, 1, 3)
         assert np.array_equal(nets.mlp_forward(a, x), nets.mlp_forward(b, x))
-
-    def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
-        from soprl.actions import ActionBounds
-        from soprl.agent import AgentConfig, SopAgent, load_agent_params, save_agent
-        agent = SopAgent(3, 2, ActionBounds.symmetric(1.0, 2),
-                         AgentConfig(buffer_capacity=2000, hidden_dim=8), seed=12)
-        for _, arr in agent.state.q2_target.named_tensors():
-            arr += 0.1  # every net distinct
-        path = str(tmp_path / "agent.npz")
-        save_agent(path, agent)
-        loaded = load_agent_params(path)
-        for role in ("policy", "q1", "q2", "q1_target", "q2_target"):
-            params = getattr(agent.state, role)
-            for (na, a), (nb, b) in zip(params.named_tensors(),
-                                        loaded[role].named_tensors()):
-                assert na == nb
-                assert np.array_equal(a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -428,8 +414,6 @@ def test_one_wide_output_backward_is_bitwise_the_matmul(rows, hidden, din, seed)
     w = params.weights[-1]
     step = nets._times_wt(g, w, np.full((rows, hidden), np.nan))
     assert same_bits(step, np.matmul(g, w.T))
-    grads, input_grad = nets.mlp_backward_cached(params, cache, g)
     ref_flat, ref_input = matmul_backward(params, cache, g)
-    assert same_bits(grads.flat, ref_flat)
-    assert same_bits(input_grad, ref_input)
+    assert same_bits(nets.mlp_backward_cached(params, cache, g).flat, ref_flat)
     assert same_bits(nets.mlp_input_grad(params, cache, g), ref_input)

@@ -61,41 +61,19 @@ class TestBuffer:
         buf = ReplayBuffer(4, 1, 1)
         buf.push(trans(7))
         assert buf.size == 1
-        assert buf.get_transition(0).reward == 7.0
+        assert buf.rewards[buf.recent_slot(0)] == 7.0
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(3, 1, 1)
         fill(buf, 4)
         assert buf.size == 3
-        rewards = [buf.get_transition(i).reward for i in range(3)]
+        rewards = [buf.rewards[buf.recent_slot(i)] for i in range(3)]
         assert rewards == [3.0, 2.0, 1.0]  # newest first, item 0 evicted
 
     def test_dimension_mismatch_rejected(self):
         buf = ReplayBuffer(4, 2, 1)
         with pytest.raises(ValueError):
             buf.push(trans(0, state_dim=1))
-
-    def test_insertion_counter_monotone(self):
-        buf = ReplayBuffer(2, 1, 1)
-        fill(buf, 5)
-        assert buf.inserted == 5
-
-    def test_snapshot_roundtrip(self, tmp_path):
-        buf = ReplayBuffer(3, 2, 1)
-        for i in range(5):
-            buf.push(trans(i, state_dim=2))
-        snap = buf.snapshot()
-        path = tmp_path / "snap.npz"
-        np.savez(path, **snap)
-        with np.load(path) as data:
-            loaded = {k: data[k] for k in data.files}
-        restored = ReplayBuffer.restore(loaded, capacity=3)
-        assert restored.size == buf.size
-        assert restored.inserted == buf.inserted
-        for i in range(buf.size):
-            a, b = buf.get_transition(i), restored.get_transition(i)
-            assert np.array_equal(a.state, b.state)
-            assert a.reward == b.reward
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=60),
@@ -117,7 +95,7 @@ class TestBuffer:
     def test_fifo_enumeration_matches_reverse_insertion(self):
         buf = ReplayBuffer(5, 1, 1)
         fill(buf, 8)
-        got = [buf.get_transition(i).reward for i in range(buf.size)]
+        got = [buf.rewards[buf.recent_slot(i)] for i in range(buf.size)]
         assert got == [7.0, 6.0, 5.0, 4.0, 3.0]
 
 
@@ -248,12 +226,13 @@ class TestEreSampler:
             buf = ReplayBuffer(n, 1, 1)
             for _ in range(n):
                 buf.push(dummy)
-            base = buf.inserted - n  # insertion id of the oldest pre-fill item
+            inserted = n  # pushes so far; position 0 is the oldest pre-fill item
             for k in range(1, updates + 1):
                 slot = sample_ere(buf, k, updates, cfg, eta, 1, rng)[0]
                 recency = (buf.cursor - 1 - slot) % buf.capacity
-                counts[buf.inserted - 1 - recency - base] += 1
+                counts[inserted - 1 - recency] += 1
                 buf.push(dummy)
+                inserted += 1
         exact = expected_counts(scn)
         sigma = np.sqrt(count_variances(scn) / trials)
         live = sigma > 0
