@@ -50,10 +50,6 @@ class ActionBounds:
         return cls(low=-m, high=m)
 
     @property
-    def dim(self) -> int:
-        return self.low.shape[0]
-
-    @property
     def scale(self) -> np.ndarray:
         """Symmetric half-range M (read-only); only meaningful for tanh squashing."""
         if self._scale is None:
@@ -149,18 +145,15 @@ def clip_action(a: np.ndarray, bounds: ActionBounds) -> np.ndarray:
     return np.clip(np.asarray(a, dtype=np.float64), bounds.low, bounds.high)
 
 
-def saturation_fraction(actions: np.ndarray, bounds: ActionBounds,
-                        near: float = 0.99) -> float:
-    """Fraction of action components at least ``near`` of the half range
-    away from the box center, per dimension."""
-    if not 0.0 < near < 1.0:
-        raise ValueError("near must be in (0, 1)")
+def saturation_fraction(actions: np.ndarray, bounds: ActionBounds) -> float:
+    """Fraction of action components at least 0.99 of the half range away
+    from the box center, per dimension."""
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     if actions.size == 0:
         raise ValueError("empty action batch")
     center = (bounds.high + bounds.low) / 2.0
     half_range = (bounds.high - bounds.low) / 2.0
-    return float(np.mean(np.abs(actions - center) >= near * half_range))
+    return float(np.mean(np.abs(actions - center) >= 0.99 * half_range))
 
 
 def _log_sech2(u: np.ndarray) -> np.ndarray:

@@ -96,20 +96,6 @@ class AgentState:
     env_steps: int = 0
 
 
-def init_agent_state(state_dim: int, action_dim: int, hidden_dim: int,
-                     rng: np.random.Generator) -> AgentState:
-    policy = nets.init_mlp(state_dim, hidden_dim, action_dim, rng)
-    q1 = nets.init_mlp(state_dim + action_dim, hidden_dim, 1, rng)
-    q2 = nets.init_mlp(state_dim + action_dim, hidden_dim, 1, rng)
-    return AgentState(
-        policy=policy, q1=q1, q2=q2,
-        q1_target=q1.copy(), q2_target=q2.copy(),
-        policy_adam=nets.AdamState.for_params(policy),
-        q1_adam=nets.AdamState.for_params(q1),
-        q2_adam=nets.AdamState.for_params(q2),
-    )
-
-
 def _mean(x: np.ndarray) -> float:
     """``float(np.mean(x))`` bit for bit: the same ``np.add.reduce`` sum over
     the same count, without np.mean's wrapper."""
@@ -138,12 +124,16 @@ class SopAgent:
         self.rng_target = make_rng(seed, "target-noise")
         self.rng_sampler = make_rng(seed, "sampler")
         self.rng_warmup = make_rng(seed, "warmup")
-        self.state = init_agent_state(state_dim, action_dim, cfg.hidden_dim,
-                                      self.rng_init)
+        policy = nets.init_mlp(state_dim, cfg.hidden_dim, action_dim, self.rng_init)
+        q1 = nets.init_mlp(state_dim + action_dim, cfg.hidden_dim, 1, self.rng_init)
+        q2 = nets.init_mlp(state_dim + action_dim, cfg.hidden_dim, 1, self.rng_init)
+        self.state = AgentState(
+            policy=policy, q1=q1, q2=q2, q1_target=q1.copy(), q2_target=q2.copy(),
+            policy_adam=nets.AdamState.for_params(policy),
+            q1_adam=nets.AdamState.for_params(q1), q2_adam=nets.AdamState.for_params(q2))
         # gradient buffers of the updates, overwritten by each backward pass
         self._policy_grads, self._q1_grads, self._q2_grads = (
-            nets.zeros_like_params(p) for p in (self.state.policy, self.state.q1,
-                                                self.state.q2))
+            nets.zeros_like_params(p) for p in (policy, q1, q2))
         self.head = (InvertingGradientsHead(bounds) if cfg.variant == "sop_ig"
                      else TanhHead(bounds, normalize=cfg.variant != "no_norm"))
 
@@ -347,31 +337,6 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
     next_eval = eval_interval
     episode_idx = 0
 
-    def run_eval(step: int) -> None:
-        mean, std, diag = evaluate_policy(agent, eval_env, eval_rollouts,
-                                          derive_seed(seed, "eval", step))
-        entropy, sat, pre, post = _diagnostics(agent, diag, step, seed)
-        wall = (time.perf_counter() - t_start) * 1000.0 if record_walltime else 0.0
-        record.rows.append(EvalRow(step, mean, std, entropy, sat, pre, post,
-                                   eta if cfg.sampler == "ere" else None, wall))
-
-    def draw_batch(k: int, k_upd: int):
-        if cfg.sampler == "uniform":
-            slots = replay.sample_uniform(buffer, cfg.batch_size, agent.rng_sampler)
-            return buffer.gather(slots), slots, None
-        if cfg.sampler == "ere":
-            slots = replay.sample_ere(buffer, k, k_upd, ere_cfg, eta,
-                                      cfg.batch_size, agent.rng_sampler)
-            return buffer.gather(slots), slots, None
-        if cfg.sampler == "exp":
-            slots = replay.sample_exponential(buffer, cfg.exp_lambda,
-                                              cfg.batch_size, agent.rng_sampler)
-            return buffer.gather(slots), slots, None
-        batch, slots, weights = replay.per_sample(tree, buffer, cfg.batch_size,
-                                                  agent.rng_sampler,
-                                                  cfg.per_normalize_weights)
-        return batch, slots, weights
-
     while agent.state.env_steps < total_steps:
         s = env.reset(derive_seed(seed, "episode", episode_idx))
         episode_idx += 1
@@ -394,19 +359,36 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
         tracker.update(agent.state.env_steps, ep_return, cfg.buffer_capacity)
         if cfg.sampler == "ere":
             eta = replay.adapt_eta(ere_cfg, tracker)
-        if agent.state.env_steps > cfg.warmup_steps and buffer.size > 0:
-            k_upd = ep_len
-            for k in range(1, k_upd + 1):
-                batch, slots, weights = draw_batch(k, k_upd)
+        if agent.state.env_steps > cfg.warmup_steps:
+            for k in range(1, ep_len + 1):
+                if cfg.sampler == "uniform":
+                    slots = replay.sample_uniform(buffer, cfg.batch_size, agent.rng_sampler)
+                elif cfg.sampler == "ere":
+                    slots = replay.sample_ere(buffer, k, ep_len, ere_cfg, eta,
+                                              cfg.batch_size, agent.rng_sampler)
+                elif cfg.sampler == "exp":
+                    slots = replay.sample_exponential(buffer, cfg.exp_lambda,
+                                                      cfg.batch_size, agent.rng_sampler)
+                if tree is None:
+                    batch, weights = buffer.gather(slots), None
+                else:
+                    batch, slots, weights = replay.per_sample(
+                        tree, buffer, cfg.batch_size, agent.rng_sampler,
+                        cfg.per_normalize_weights)
                 targets = agent.compute_q_targets(batch)
                 _, td = agent.q_update(batch, targets, weights)
                 if tree is not None:
                     replay.per_update_priorities(tree, slots, td)
                 agent.policy_update(batch)
                 soft_update_targets(agent.state, cfg.tau)
-        if agent.state.env_steps >= next_eval:
-            run_eval(agent.state.env_steps)
-            while next_eval <= agent.state.env_steps:
-                next_eval += eval_interval
+        step = agent.state.env_steps
+        if step >= next_eval:
+            mean, std, diag = evaluate_policy(agent, eval_env, eval_rollouts,
+                                              derive_seed(seed, "eval", step))
+            entropy, sat, pre, post = _diagnostics(agent, diag, step, seed)
+            wall = (time.perf_counter() - t_start) * 1000.0 if record_walltime else 0.0
+            record.rows.append(EvalRow(step, mean, std, entropy, sat, pre, post,
+                                       eta if cfg.sampler == "ere" else None, wall))
+            next_eval = (step // eval_interval + 1) * eval_interval
     return record, agent
 

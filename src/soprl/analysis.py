@@ -43,7 +43,6 @@ class SamplingScenario:
     updates: int
     eta: float = 1.0
     start: str = "empty"
-    c_min: int = 1
 
     def __post_init__(self):
         if self.start not in STARTS:
@@ -56,16 +55,15 @@ class SamplingScenario:
             raise ValueError("updates: an empty start needs updates <= capacity")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta: must be in (0, 1]")
-        if self.c_min < 1:
-            raise ValueError("c_min: must be >= 1")
 
     @property
     def n_positions(self) -> int:
         return self.updates + (self.capacity if self.start == "full" else 0)
 
     def window_sizes(self) -> np.ndarray:
-        """Effective window per update: min(c_k, items present at draw time)."""
-        cfg = EreConfig(eta0=self.eta, c_min=self.c_min)
+        """Effective window per update: min(c_k, items present at draw time),
+        with c_k floored at one item."""
+        cfg = EreConfig(eta0=self.eta, c_min=1)
         ks = np.arange(1, self.updates + 1)
         c = np.array([ere_range(int(k), self.updates, self.capacity, cfg, self.eta)
                       for k in ks])

@@ -47,6 +47,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: each seed may appear once, got {self.seeds}")
         if self.eval_interval < 1:
             raise ConfigError("eval_interval: must be >= 1")
         if self.eval_rollouts < 1:

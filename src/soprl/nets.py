@@ -11,8 +11,8 @@ Inputs may be a single vector ``(d,)`` or a batch ``(B, d)``; outputs match
 the input rank.
 
 A cached forward writes the hidden activations into buffers the network
-keeps per batch size; uncached forwards, the backward passes and Adam work in
-two scratch buffers per shape that all networks of a thread share.  A
+keeps per batch size; uncached forwards and the backward passes work in two
+scratch buffers per shape that all networks of a thread share.  A
 steady-state update therefore allocates nothing of batch size.  The cache a
 cached forward returns points into the network's buffers: it is valid until
 the next cached forward of the same params object.  Uncached forwards
@@ -77,12 +77,12 @@ class MlpParams:
             yield f"W{i}", w
             yield f"b{i}", b
 
-    def check_finite(self, what: str = "parameter") -> None:
+    def check_finite(self) -> None:
         if np.isfinite(self.flat).all():
             return
         for name, arr in self.named_tensors():
             if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite {what} in tensor {name}")
+                raise FloatingPointError(f"non-finite gradient in tensor {name}")
 
     def _hidden_buffers(self, rows: int) -> list[np.ndarray]:
         if rows not in self._acts:
@@ -132,17 +132,16 @@ class ForwardCache:
 
 class _Scratch(threading.local):
     """Two buffers per shape, shared by the uncached forward and backward
-    passes and the Adam steps of one thread; their contents never outlive a
-    call."""
+    passes of one thread; their contents never outlive a call."""
 
     def __init__(self):
-        self.pairs: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 _SCRATCH = _Scratch()
 
 
-def _scratch(shape: tuple[int, ...], avoid: np.ndarray | None) -> np.ndarray:
+def _scratch(shape: tuple[int, int], avoid: np.ndarray) -> np.ndarray:
     """The shared buffer of ``shape`` that is not ``avoid``."""
     pair = _SCRATCH.pairs.get(shape)
     if pair is None:
@@ -255,27 +254,16 @@ class AdamState:
 def adam_step(state: AdamState, params: MlpParams, grads: MlpParams,
               lr: float) -> tuple[MlpParams, AdamState]:
     """One Adam update, in place; returns the (mutated) params and state."""
-    grads.check_finite("gradient")
+    grads.check_finite()
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     m, v, g = state.m.flat, state.v.flat, grads.flat
-    # m, v and the step lr * (m / bc1) / (sqrt(v / bc2) + eps), op for op,
-    # with the temporaries in two shared scratch vectors
-    a = _scratch(g.shape, None)
-    b = _scratch(g.shape, a)
     m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
-    np.square(g, out=a)
-    v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
-    np.divide(m, bc1, out=a)
-    a *= lr
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
-    b += ADAM_EPS
-    a /= b
-    params.flat -= a
+    v += (1.0 - ADAM_BETA2) * np.square(g)
+    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 

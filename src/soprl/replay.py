@@ -32,8 +32,8 @@ class Transition:
 class EreConfig:
     """Schedule parameters for the shrinking sampling window.
 
-    ``c_min`` defaults to 5000 for the reference buffer size of one million
-    and otherwise scales as max(batch, capacity / 200).
+    ``c_min`` defaults to max(batch, capacity // 200): 5000 for the reference
+    buffer size of one million, unless the batch is larger.
     """
 
     eta0: float = 0.995
@@ -49,8 +49,6 @@ class EreConfig:
     def resolved_c_min(self, capacity: int, batch: int = 1) -> int:
         if self.c_min is not None:
             return self.c_min
-        if capacity == 1_000_000:
-            return 5000
         return max(batch, capacity // 200)
 
 

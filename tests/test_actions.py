@@ -174,11 +174,6 @@ class TestClipAndSaturation:
         with pytest.raises(ValueError):
             saturation_fraction(np.zeros((0, 1)), b)
 
-    def test_invalid_near_rejected(self):
-        b = ActionBounds.symmetric(1.0, 1)
-        with pytest.raises(ValueError):
-            saturation_fraction(np.zeros((1, 1)), b, near=1.0)
-
 
 def entropy_quadrature(mu, sigma, m):
     """Direct -integral p log p over the action space, independent route."""

@@ -88,10 +88,10 @@ class TestUniformFull:
 
 class TestEre:
     def test_eta_one_reduces_to_uniform_bitwise(self):
-        for start in ("empty", "full"):
-            ere = expected_counts(SamplingScenario(300, 300, 1.0, start, c_min=1))
-            uniform = expected_counts(SamplingScenario(300, 300, 1.0, start))
-            assert np.array_equal(ere, uniform)
+        # every window spans all items present, so the counts are the uniform ones
+        ks = np.arange(1, 301)
+        assert np.array_equal(SamplingScenario(300, 300, 1.0, "empty").window_sizes(), ks)
+        assert np.all(SamplingScenario(300, 300, 1.0, "full").window_sizes() == 300)
 
     def test_nonnegative_and_conserving(self):
         counts = expected_counts(SamplingScenario(1000, 1000, 0.996, "full"))
@@ -178,8 +178,3 @@ class TestScenarioValidation:
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError):
             SamplingScenario(100, 100, 1.0, "center")
-
-    @pytest.mark.parametrize("c_min", [0, -1])
-    def test_c_min_below_one_rejected(self, c_min):
-        with pytest.raises(ValueError, match="^c_min: must be >= 1"):
-            SamplingScenario(100, 100, 0.5, "full", c_min=c_min)

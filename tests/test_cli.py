@@ -64,7 +64,9 @@ class TestRunCommand:
     (["run", *SMALL_RUN, "--sampler", "per", "--beta2", "inf"], "beta2"),
     (["run", *SMALL_RUN, "--lr", "inf"], "lr"),
     (["run", *SMALL_RUN, "--sigma", "inf"], "sigma"),
-    (["run", *SMALL_RUN, "--sigma", "nan"], "sigma")])
+    (["run", *SMALL_RUN, "--sigma", "nan"], "sigma"),
+    (["run", "--seeds", "1,1"], "seeds"),
+    (["analyze", "counts", "--scheme", "uniform_full", "--buffer", "0"], "buffer")])
 def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.chdir(tmp_path)

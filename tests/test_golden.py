@@ -2,7 +2,8 @@
 
 Every variant x sampler trains on pointmass2d with small nets, plus two runs
 at the desk network size (hidden 64, batch 256): pointmass1d sop/ere, and
-pointmass2d sop_ig/per for the 2-wide policy output.  The pinned hashes were
+pointmass2d sop_ig/per for the 2-wide policy output.  One more small run,
+sop/ere on boundarylure, pins the environment of the ablation criterion.  The pinned hashes were
 captured before the network engine moved to reused activation buffers, flat
 parameter vectors and caller-owned gradient buffers; a change that alters any
 training arithmetic changes a hash.  The four ``analyze counts`` schemes are pinned
@@ -35,10 +36,12 @@ CONFIGS = {f"{v}-{s}": {**SMALL, "variant": v, "sampler": s}
 CONFIGS["desk-sop-ere"] = DESK
 CONFIGS["desk-sop_ig-per"] = {**DESK, "env": "pointmass2d", "variant": "sop_ig",
                               "sampler": "per"}
+CONFIGS["lure-sop-ere"] = {**SMALL, "env": "boundarylure", "variant": "sop", "sampler": "ere"}
 
 GOLDEN = {
     "desk-sop-ere": "0f5d1d983d4fc1d759b5d36a59be6804fb867117b769169b3d2796031d0d0f0e",
     "desk-sop_ig-per": "816a526076ab69dee65ee12a00b9b1988192c7569612481768bb29f22cacd630",
+    "lure-sop-ere": "e412adeb5a3bac0c9028719db5c0946615c688b3688b668dbcfbafd26da08a63",
     "no_norm-ere": "5187d43b9a8bac7ff4112d77cd3459efa58f43ed64ad11b89372e1a0692e8b8c",
     "no_norm-exp": "0a57c9bdeecb25985b5d6ec29a954bf6c00ac196c04f0d091c4c650db059e154",
     "no_norm-per": "41290a0033ae3b6c6ba2eb9c699fee7ac34fcb65f888f8911aac3f8a6bb5880a",

@@ -167,6 +167,7 @@ class TestEreSchedule:
     def test_default_c_min_scales_with_capacity(self):
         cfg = EreConfig(eta0=0.995)
         assert cfg.resolved_c_min(1_000_000) == 5000
+        assert cfg.resolved_c_min(1_000_000, batch=8192) == 8192
         assert cfg.resolved_c_min(20_000, batch=256) == 256
         assert cfg.resolved_c_min(100_000, batch=64) == 500
 
@@ -217,7 +218,7 @@ class TestEreSampler:
         n = updates = 200
         eta = 0.996
         cfg = EreConfig(eta0=eta, c_min=1)
-        scn = SamplingScenario(n, updates, eta, "full", c_min=1)
+        scn = SamplingScenario(n, updates, eta, "full")
         trials = 400
         rng = np.random.default_rng(15)
         counts = np.zeros(scn.n_positions)
