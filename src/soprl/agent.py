@@ -1,10 +1,10 @@
 """Deterministic-policy off-policy learner with clipped double-Q targets.
 
-One update step regresses both Q networks onto a shared smoothed target,
-ascends the first Q network through the policy (normalize -> tanh squash,
-or the inverting-gradients route), and Polyak-averages the target networks.
-Variants toggle the normalization, the second Q network, target smoothing,
-or swap squashing for inverting gradients.
+One update step regresses each critic (Q network) onto a shared smoothed
+target, ascends the first critic through the policy (normalize -> tanh
+squash, or the inverting-gradients route), and Polyak-averages the critics'
+target networks.  Variants toggle the normalization, the second critic,
+target smoothing, or swap squashing for inverting gradients.
 """
 
 from __future__ import annotations
@@ -73,27 +73,24 @@ class AgentConfig:
         return EreConfig(eta0=self.eta0)
 
     @property
-    def twin_q(self) -> bool:
-        return self.variant != "single_q"
-
-    @property
     def smooths_targets(self) -> bool:
         return self.variant != "no_smoothing"
 
 
 @dataclass
-class AgentState:
-    """Policy/Q parameters, their targets, optimizer moments, and the step count."""
+class TrainedNet:
+    """One trained network: its parameters, its Polyak target if it has one,
+    and the gradient buffer (overwritten by each backward pass) and Adam
+    moments of its updates."""
 
-    policy: nets.MlpParams
-    q1: nets.MlpParams
-    q2: nets.MlpParams
-    q1_target: nets.MlpParams
-    q2_target: nets.MlpParams
-    policy_adam: nets.AdamState
-    q1_adam: nets.AdamState
-    q2_adam: nets.AdamState
-    env_steps: int = 0
+    params: nets.MlpParams
+    target: nets.MlpParams | None = None
+    grads: nets.MlpParams = field(init=False, repr=False)
+    adam: nets.AdamState = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.grads = nets.zeros_like_params(self.params)
+        self.adam = nets.AdamState.for_params(self.params)
 
 
 def _mean(x: np.ndarray) -> float:
@@ -102,16 +99,19 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x, axis=None) / x.size)
 
 
-def soft_update_targets(state: AgentState, tau: float) -> None:
-    """Polyak-average online parameters into the targets:
+def soft_update_targets(agent: SopAgent, tau: float) -> None:
+    """Polyak-average each critic into its target:
     target <- (1 - tau) * target + tau * online."""
-    for online, target in ((state.q1, state.q1_target), (state.q2, state.q2_target)):
-        target.flat *= 1.0 - tau
-        target.flat += tau * online.flat
+    for critic in agent.critics:
+        critic.target.flat *= 1.0 - tau
+        critic.target.flat += tau * critic.params.flat
 
 
 class SopAgent:
-    """Owns the state, config, bounds, and derived RNG streams for one run."""
+    """Owns the networks, config, bounds, and derived RNG streams for one run.
+
+    ``policy`` has no target; ``critics`` holds two Q networks for the
+    clipped double-Q target, or one under ``single_q``."""
 
     def __init__(self, state_dim: int, action_dim: int, bounds: ActionBounds,
                  cfg: AgentConfig, seed: int):
@@ -119,21 +119,17 @@ class SopAgent:
         self.bounds = bounds
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.rng_init = make_rng(seed, "init")
+        rng_init = make_rng(seed, "init")
         self.rng_explore = make_rng(seed, "explore")
         self.rng_target = make_rng(seed, "target-noise")
         self.rng_sampler = make_rng(seed, "sampler")
         self.rng_warmup = make_rng(seed, "warmup")
-        policy = nets.init_mlp(state_dim, cfg.hidden_dim, action_dim, self.rng_init)
-        q1 = nets.init_mlp(state_dim + action_dim, cfg.hidden_dim, 1, self.rng_init)
-        q2 = nets.init_mlp(state_dim + action_dim, cfg.hidden_dim, 1, self.rng_init)
-        self.state = AgentState(
-            policy=policy, q1=q1, q2=q2, q1_target=q1.copy(), q2_target=q2.copy(),
-            policy_adam=nets.AdamState.for_params(policy),
-            q1_adam=nets.AdamState.for_params(q1), q2_adam=nets.AdamState.for_params(q2))
-        # gradient buffers of the updates, overwritten by each backward pass
-        self._policy_grads, self._q1_grads, self._q2_grads = (
-            nets.zeros_like_params(p) for p in (policy, q1, q2))
+        # drawn in the order policy, q1, q2: single_q skips only the last draw
+        self.policy = TrainedNet(nets.init_mlp(state_dim, cfg.hidden_dim, action_dim,
+                                               rng_init))
+        qs = [nets.init_mlp(state_dim + action_dim, cfg.hidden_dim, 1, rng_init)
+              for _ in range(1 if cfg.variant == "single_q" else 2)]
+        self.critics = tuple(TrainedNet(q, q.copy()) for q in qs)
         self.head = (InvertingGradientsHead(bounds) if cfg.variant == "sop_ig"
                      else TanhHead(bounds, normalize=cfg.variant != "no_norm"))
 
@@ -141,7 +137,7 @@ class SopAgent:
 
     def policy_mu(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw policy output and the action head's noise-free center."""
-        mu = nets.mlp_forward(self.state.policy, states)
+        mu = nets.mlp_forward(self.policy.params, states)
         return mu, self.head.center(mu)
 
     def act(self, state_vec: np.ndarray, mode: str = "explore") -> np.ndarray:
@@ -156,37 +152,30 @@ class SopAgent:
 
     # -- updates -----------------------------------------------------------
 
-    def compute_q_targets(self, batch: dict[str, np.ndarray],
-                          delta: np.ndarray | None = None) -> np.ndarray:
-        """Smoothed clipped double-Q bootstrap targets, r only at terminals.
-
-        ``delta`` overrides the smoothing noise, in the head's noise units."""
+    def compute_q_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        """Smoothed bootstrap targets, r only at terminals: the minimum over
+        the critics' targets (clipped double-Q when there are two)."""
         cfg = self.cfg
         s2 = batch["next_states"]
         n = s2.shape[0]
         if n == 0:
             raise ValueError("empty batch")
-        center = self.head.center(nets.mlp_forward(self.state.policy, s2))
-        if delta is None:
-            if cfg.smooths_targets:
-                delta = cfg.sigma * self.rng_target.standard_normal(
-                    (n, self.action_dim))
-            else:
-                delta = np.zeros((n, self.action_dim))
+        center = self.head.center(nets.mlp_forward(self.policy.params, s2))
+        if cfg.smooths_targets:
+            delta = cfg.sigma * self.rng_target.standard_normal((n, self.action_dim))
+        else:
+            delta = np.zeros((n, self.action_dim))
         a2 = self.head.action(center, delta * self.head.noise_unit)
         q_in = np.concatenate([s2, a2], axis=1)
-        t1 = nets.mlp_forward(self.state.q1_target, q_in)[:, 0]
-        if cfg.twin_q:
-            t2 = nets.mlp_forward(self.state.q2_target, q_in)[:, 0]
-            bootstrap = np.minimum(t1, t2)
-        else:
-            bootstrap = t1
+        bootstrap = nets.mlp_forward(self.critics[0].target, q_in)[:, 0]
+        for critic in self.critics[1:]:
+            bootstrap = np.minimum(bootstrap, nets.mlp_forward(critic.target, q_in)[:, 0])
         not_done = ~batch["dones"]
         return batch["rewards"] + cfg.gamma * not_done * bootstrap
 
     def q_update(self, batch: dict[str, np.ndarray], targets: np.ndarray,
                  is_weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """One Adam step on each Q net; returns the loss and per-sample |td|."""
+        """One Adam step on each critic; returns the loss and per-sample |td|."""
         cfg = self.cfg
         n = targets.shape[0]
         # unweighted, the loss leaves out w = 1: 1.0 * x == x bit for bit
@@ -195,11 +184,8 @@ class SopAgent:
         q_in = np.concatenate([batch["states"], batch["actions"]], axis=1)
         abs_errs = []
         total_loss = 0.0
-        q_nets = [(self.state.q1, self.state.q1_adam, self._q1_grads)]
-        if cfg.twin_q:
-            q_nets.append((self.state.q2, self.state.q2_adam, self._q2_grads))
-        for params, adam, grads in q_nets:
-            pred, cache = nets.mlp_forward_cached(params, q_in)
+        for critic in self.critics:
+            pred, cache = nets.mlp_forward_cached(critic.params, q_in)
             err = pred[:, 0] - targets
             abs_errs.append(np.abs(err))
             loss = _mean((err if w is None else w * err) * err)
@@ -207,15 +193,16 @@ class SopAgent:
                 raise FloatingPointError("non-finite Q loss")
             total_loss += loss
             grad_out = (two_w * err / n)[:, None]
-            nets.mlp_backward_cached(params, cache, grad_out, out=grads)
-            nets.adam_step(adam, params, grads, cfg.lr)
+            nets.mlp_backward_cached(critic.params, cache, grad_out, out=critic.grads)
+            nets.adam_step(critic.adam, critic.params, critic.grads, cfg.lr)
         td = 0.5 * (abs_errs[0] + abs_errs[1]) if len(abs_errs) == 2 else abs_errs[0]
-        return total_loss / len(abs_errs), td
+        return total_loss / len(self.critics), td
 
     def policy_objective_and_grads(self, batch: dict[str, np.ndarray],
                                    out: nets.MlpParams | None = None
                                    ) -> tuple[float, nets.MlpParams]:
-        """Mean Q1(s, action_of(s)) and its ascent gradient w.r.t. the policy.
+        """Mean Q1(s, action_of(s)) and its ascent gradient w.r.t. the policy,
+        where Q1 is the first critic.
 
         The action head maps the raw output to Q1's action input and carries
         dQ1/da back to the raw output (see ``TanhHead.forward_vjp`` and
@@ -226,24 +213,25 @@ class SopAgent:
         n = s.shape[0]
         if n == 0:
             raise ValueError("empty batch")
-        mu, cache = nets.mlp_forward_cached(self.state.policy, s)
+        q1 = self.critics[0].params
+        mu, cache = nets.mlp_forward_cached(self.policy.params, s)
         a, vjp = self.head.forward_vjp(mu)
         q_in = np.concatenate([s, a], axis=1)
-        q, q_cache = nets.mlp_forward_cached(self.state.q1, q_in)
+        q, q_cache = nets.mlp_forward_cached(q1, q_in)
         objective = _mean(q)
-        q_in_grad = nets.mlp_input_grad(self.state.q1, q_cache, np.full((n, 1), 1.0 / n))
+        q_in_grad = nets.mlp_input_grad(q1, q_cache, np.full((n, 1), 1.0 / n))
         mu_grad = vjp(q_in_grad[:, self.state_dim:])
         if not math.isfinite(objective):
             raise FloatingPointError("non-finite policy objective")
-        grads = nets.mlp_backward_cached(self.state.policy, cache, mu_grad, out=out)
+        grads = nets.mlp_backward_cached(self.policy.params, cache, mu_grad, out=out)
         return objective, grads
 
     def policy_update(self, batch: dict[str, np.ndarray]) -> float:
         """One Adam ascent step on the policy; Q parameters are untouched."""
-        objective, grads = self.policy_objective_and_grads(batch, out=self._policy_grads)
+        policy = self.policy
+        objective, grads = self.policy_objective_and_grads(batch, out=policy.grads)
         np.negative(grads.flat, out=grads.flat)  # adam minimizes; flip to ascend
-        nets.adam_step(self.state.policy_adam, self.state.policy, grads,
-                       self.cfg.lr)
+        nets.adam_step(policy.adam, policy.params, grads, self.cfg.lr)
         return objective
 
 
@@ -336,15 +324,16 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
     t_start = time.perf_counter()
     next_eval = eval_interval
     episode_idx = 0
+    env_steps = 0
 
-    while agent.state.env_steps < total_steps:
+    while env_steps < total_steps:
         s = env.reset(derive_seed(seed, "episode", episode_idx))
         episode_idx += 1
         ep_return = 0.0
         ep_len = 0
         done = False
-        while not done and agent.state.env_steps < total_steps:
-            if agent.state.env_steps < cfg.warmup_steps:
+        while not done and env_steps < total_steps:
+            if env_steps < cfg.warmup_steps:
                 a = agent.rng_warmup.uniform(spec.bounds.low, spec.bounds.high)
             else:
                 a = agent.act(s, mode="explore")
@@ -355,11 +344,11 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
             s = s2
             ep_return += r
             ep_len += 1
-            agent.state.env_steps += 1
-        tracker.update(agent.state.env_steps, ep_return, cfg.buffer_capacity)
+            env_steps += 1
+        tracker.update(env_steps, ep_return, cfg.buffer_capacity)
         if cfg.sampler == "ere":
             eta = replay.adapt_eta(ere_cfg, tracker)
-        if agent.state.env_steps > cfg.warmup_steps:
+        if env_steps > cfg.warmup_steps:
             for k in range(1, ep_len + 1):
                 if cfg.sampler == "uniform":
                     slots = replay.sample_uniform(buffer, cfg.batch_size, agent.rng_sampler)
@@ -380,15 +369,14 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
                 if tree is not None:
                     replay.per_update_priorities(tree, slots, td)
                 agent.policy_update(batch)
-                soft_update_targets(agent.state, cfg.tau)
-        step = agent.state.env_steps
-        if step >= next_eval:
+                soft_update_targets(agent, cfg.tau)
+        if env_steps >= next_eval:
             mean, std, diag = evaluate_policy(agent, eval_env, eval_rollouts,
-                                              derive_seed(seed, "eval", step))
-            entropy, sat, pre, post = _diagnostics(agent, diag, step, seed)
+                                              derive_seed(seed, "eval", env_steps))
+            entropy, sat, pre, post = _diagnostics(agent, diag, env_steps, seed)
             wall = (time.perf_counter() - t_start) * 1000.0 if record_walltime else 0.0
-            record.rows.append(EvalRow(step, mean, std, entropy, sat, pre, post,
+            record.rows.append(EvalRow(env_steps, mean, std, entropy, sat, pre, post,
                                        eta if cfg.sampler == "ere" else None, wall))
-            next_eval = (step // eval_interval + 1) * eval_interval
+            next_eval = (env_steps // eval_interval + 1) * eval_interval
     return record, agent
 

@@ -39,7 +39,7 @@ STARTS = ("empty", "full")
 class SamplingScenario:
     """Configuration for one expected-count computation."""
 
-    capacity: int
+    buffer: int
     updates: int
     eta: float = 1.0
     start: str = "empty"
@@ -47,28 +47,28 @@ class SamplingScenario:
     def __post_init__(self):
         if self.start not in STARTS:
             raise ValueError(f"start: must be one of {STARTS}")
-        if self.capacity < 1:
-            raise ValueError("capacity: must be >= 1")
+        if self.buffer < 1:
+            raise ValueError("buffer: must be >= 1")
         if self.updates < 1:
             raise ValueError("updates: must be >= 1")
-        if self.start == "empty" and self.updates > self.capacity:
-            raise ValueError("updates: an empty start needs updates <= capacity")
+        if self.start == "empty" and self.updates > self.buffer:
+            raise ValueError("updates: an empty start needs updates <= buffer")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta: must be in (0, 1]")
 
     @property
     def n_positions(self) -> int:
-        return self.updates + (self.capacity if self.start == "full" else 0)
+        return self.updates + (self.buffer if self.start == "full" else 0)
 
     def window_sizes(self) -> np.ndarray:
         """Effective window per update: min(c_k, items present at draw time),
         with c_k floored at one item."""
         cfg = EreConfig(eta0=self.eta, c_min=1)
         ks = np.arange(1, self.updates + 1)
-        c = np.array([ere_range(int(k), self.updates, self.capacity, cfg, self.eta)
+        c = np.array([ere_range(int(k), self.updates, self.buffer, cfg, self.eta)
                       for k in ks])
         if self.start == "full":
-            present = np.full(self.updates, self.capacity)
+            present = np.full(self.updates, self.buffer)
         else:
             present = ks  # push happens before the draw
         return np.minimum(c, present)
@@ -78,7 +78,7 @@ class SamplingScenario:
         w = self.window_sizes()
         ks = np.arange(1, self.updates + 1)
         if self.start == "full":
-            hi = self.capacity + ks - 2  # newest item at draw time of step k
+            hi = self.buffer + ks - 2  # newest item at draw time of step k
         else:
             hi = ks - 1
         return hi - w + 1, hi
@@ -107,11 +107,11 @@ def count_variances(scn: SamplingScenario) -> np.ndarray:
 
 def retained_slice(scn: SamplingScenario) -> slice:
     """Positions still in the buffer after the last update."""
-    if scn.start == "full" and scn.updates >= scn.capacity:
+    if scn.start == "full" and scn.updates >= scn.buffer:
         return slice(scn.updates, scn.n_positions)
     if scn.start == "full":
-        return slice(scn.n_positions - scn.capacity, scn.n_positions)
-    return slice(max(0, scn.updates - scn.capacity), scn.updates)
+        return slice(scn.n_positions - scn.buffer, scn.n_positions)
+    return slice(max(0, scn.updates - scn.buffer), scn.updates)
 
 
 def empirical_counts(scn: SamplingScenario, trials: int,

@@ -73,9 +73,8 @@ def _cmd_counts(args: argparse.Namespace) -> int:
         if args.trials < 1:
             raise ValueError("trials: must be >= 1")
         out = open(args.out, "w", newline="") if args.out else sys.stdout
-    except ValueError as exc:  # the scenario's capacity is the --buffer flag
-        name, _, msg = str(exc).partition(": ")
-        return _config_error(f"{'buffer' if name == 'capacity' else name}: {msg}")
+    except ValueError as exc:
+        return _config_error(exc)
     except OSError as exc:
         return _config_error(f"out: {exc}")
     try:

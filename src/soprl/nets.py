@@ -12,7 +12,7 @@ the input rank.
 
 A cached forward writes the hidden activations into buffers the network
 keeps per batch size; uncached forwards and the backward passes work in two
-scratch buffers per shape that all networks of a thread share.  A
+scratch buffers per shape that all networks share.  A
 steady-state update therefore allocates nothing of batch size.  The cache a
 cached forward returns points into the network's buffers: it is valid until
 the next cached forward of the same params object.  Uncached forwards
@@ -24,7 +24,6 @@ gradient) are too, unless the caller passes its own buffer as ``out``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,22 +129,16 @@ class ForwardCache:
     hidden: list[np.ndarray]
 
 
-class _Scratch(threading.local):
-    """Two buffers per shape, shared by the uncached forward and backward
-    passes of one thread; their contents never outlive a call."""
-
-    def __init__(self):
-        self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-_SCRATCH = _Scratch()
+# two buffers per shape, shared by the uncached forward and backward passes of
+# every network; their contents never outlive a call
+_SCRATCH: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _scratch(shape: tuple[int, int], avoid: np.ndarray) -> np.ndarray:
     """The shared buffer of ``shape`` that is not ``avoid``."""
-    pair = _SCRATCH.pairs.get(shape)
+    pair = _SCRATCH.get(shape)
     if pair is None:
-        pair = _SCRATCH.pairs[shape] = (np.empty(shape), np.empty(shape))
+        pair = _SCRATCH[shape] = (np.empty(shape), np.empty(shape))
     return pair[1] if avoid is pair[0] else pair[0]
 
 
@@ -251,9 +244,8 @@ class AdamState:
         return cls(m=zeros_like_params(params), v=zeros_like_params(params), t=0)
 
 
-def adam_step(state: AdamState, params: MlpParams, grads: MlpParams,
-              lr: float) -> tuple[MlpParams, AdamState]:
-    """One Adam update, in place; returns the (mutated) params and state."""
+def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float) -> None:
+    """One Adam update of ``params`` and ``state``, in place."""
     grads.check_finite()
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
@@ -264,7 +256,6 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams,
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * np.square(g)
     params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return params, state
 
 
 def _kink_safe_units(params: MlpParams, x2d: np.ndarray,

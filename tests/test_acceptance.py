@@ -52,7 +52,7 @@ def chain_fd_error(agent, batch, coords_per_tensor, rng, h=1e-6):
     _, grads = agent.policy_objective_and_grads(batch)
     worst = 0.0
     for tensors in ("weights", "biases"):
-        for p, g in zip(getattr(agent.state.policy, tensors),
+        for p, g in zip(getattr(agent.policy.params, tensors),
                         getattr(grads, tensors)):
             flat_p, flat_g = p.reshape(-1), g.reshape(-1)
             n = min(coords_per_tensor, flat_p.size)
@@ -81,7 +81,7 @@ def test_criterion_01_gradient_exactness():
 
     # full differentiable chain: policy -> normalize -> tanh squash -> Q
     agent = SopAgent(2, 2, ActionBounds.symmetric(1.0, 2), desk_config(), seed=3)
-    agent.state.policy.biases[-1][...] = 1.1  # activate the rescaling branch
+    agent.policy.params.biases[-1][...] = 1.1  # activate the rescaling branch
     batch = {"states": rng.uniform(-1, 1, (6, 2))}
     err_chain = chain_fd_error(agent, batch, coords_per_tensor=40,
                                rng=np.random.default_rng(5))
@@ -91,10 +91,10 @@ def test_criterion_01_gradient_exactness():
                         desk_config(variant="sop_ig"), seed=4)
     ig_batch = {"states": rng.uniform(-1, 1, (6, 2))}
     s = ig_batch["states"]
-    mu, _ = nets.mlp_forward_cached(ig_agent.state.policy, s)
-    _, q_cache = nets.mlp_forward_cached(ig_agent.state.q1,
+    mu, _ = nets.mlp_forward_cached(ig_agent.policy.params, s)
+    _, q_cache = nets.mlp_forward_cached(ig_agent.critics[0].params,
                                          np.concatenate([s, mu], axis=1))
-    q_grad = nets.mlp_input_grad(ig_agent.state.q1, q_cache,
+    q_grad = nets.mlp_input_grad(ig_agent.critics[0].params, q_cache,
                                  np.full((6, 1), 1 / 6))
     c = invert_gradients(q_grad[:, 2:], clip_action(mu, ig_agent.bounds),
                          ig_agent.bounds)
@@ -102,14 +102,14 @@ def test_criterion_01_gradient_exactness():
     worst_ig = 0.0
     h = 1e-6
     fd_rng = np.random.default_rng(6)
-    for p, g in zip(ig_agent.state.policy.weights, ig_grads.weights):
+    for p, g in zip(ig_agent.policy.params.weights, ig_grads.weights):
         flat_p, flat_g = p.reshape(-1), g.reshape(-1)
         for i in fd_rng.choice(flat_p.size, size=min(40, flat_p.size), replace=False):
             orig = flat_p[i]
             flat_p[i] = orig + h
-            up = np.sum(c * nets.mlp_forward(ig_agent.state.policy, s))
+            up = np.sum(c * nets.mlp_forward(ig_agent.policy.params, s))
             flat_p[i] = orig - h
-            down = np.sum(c * nets.mlp_forward(ig_agent.state.policy, s))
+            down = np.sum(c * nets.mlp_forward(ig_agent.policy.params, s))
             flat_p[i] = orig
             numeric = (up - down) / (2 * h)
             denom = max(abs(flat_g[i]), abs(numeric), 1e-10)

@@ -76,7 +76,7 @@ class TestConfig:
 class TestAct:
     def test_evaluate_zero_policy_gives_zero_action(self):
         agent = make_agent()
-        zero_params(agent.state.policy)
+        zero_params(agent.policy.params)
         a = agent.act(np.array([0.7]), mode="evaluate")
         assert a[0] == 0.0
 
@@ -91,7 +91,7 @@ class TestAct:
 
     def test_explore_std_matches_pushforward(self):
         agent = make_agent(scale=2.0)
-        zero_params(agent.state.policy)
+        zero_params(agent.policy.params)
         agent.rng_explore = np.random.default_rng(1)
         acts = np.array([agent.act(np.zeros(1))[0] for _ in range(10_000)])
         ref = 2.0 * np.tanh(0.29 * np.random.default_rng(2).standard_normal(200_000))
@@ -99,7 +99,7 @@ class TestAct:
 
     def test_ig_variant_clips_without_tanh(self):
         agent = make_agent(desk_cfg(variant="sop_ig"), scale=0.5)
-        constant_net(agent.state.policy, 3.0)  # way outside the box
+        constant_net(agent.policy.params, 3.0)  # way outside the box
         a = agent.act(np.array([0.0]), mode="evaluate")
         assert a[0] == 0.5
 
@@ -112,8 +112,8 @@ class TestAct:
 class TestComputeQTargets:
     def test_hand_arithmetic_with_stub_targets(self):
         agent = make_agent()
-        constant_net(agent.state.q1_target, 2.0)
-        constant_net(agent.state.q2_target, 3.0)
+        constant_net(agent.critics[0].target, 2.0)
+        constant_net(agent.critics[1].target, 3.0)
         batch = batch_of(4)
         batch["rewards"] = np.ones(4)
         y = agent.compute_q_targets(batch)
@@ -121,57 +121,48 @@ class TestComputeQTargets:
 
     def test_terminal_transitions_use_reward_only(self):
         agent = make_agent()
-        constant_net(agent.state.q1_target, 2.0)
-        constant_net(agent.state.q2_target, 3.0)
+        constant_net(agent.critics[0].target, 2.0)
+        constant_net(agent.critics[1].target, 3.0)
         batch = batch_of(4, terminal=True)
         batch["rewards"] = np.full(4, -1.0)
         np.testing.assert_allclose(agent.compute_q_targets(batch), -1.0)
 
-    def test_single_q_bypasses_min(self):
-        agent = make_agent(desk_cfg(variant="single_q"))
-        constant_net(agent.state.q1_target, 3.0)
-        constant_net(agent.state.q2_target, 2.0)
-        batch = batch_of(4)
-        batch["rewards"] = np.ones(4)
-        np.testing.assert_allclose(agent.compute_q_targets(batch), 1.0 + 0.99 * 3.0)
-
     def test_min_never_exceeds_either_target_alone(self):
         agent = make_agent(desk_cfg(), state_dim=2, action_dim=1)
         batch = batch_of(32, state_dim=2)
-        delta = np.random.default_rng(3).standard_normal((32, 1)) * 0.29
-        y_min = agent.compute_q_targets(batch, delta=delta)
-        agent.cfg = dataclasses.replace(agent.cfg, variant="single_q")
-        y_q1 = agent.compute_q_targets(batch, delta=delta)
-        agent.state.q1_target, agent.state.q2_target = (agent.state.q2_target,
-                                                        agent.state.q1_target)
-        y_q2 = agent.compute_q_targets(batch, delta=delta)
-        assert np.all(y_min <= y_q1 + 1e-15)
-        assert np.all(y_min <= y_q2 + 1e-15)
+        noise = agent.rng_target.bit_generator.state
+        y_min = agent.compute_q_targets(batch)
+        alone = []
+        for critic in agent.critics:  # each critic's target alone, same noise
+            agent.rng_target.bit_generator.state = noise
+            agent.critics = (critic,)
+            alone.append(agent.compute_q_targets(batch))
+        assert np.all(y_min <= alone[0]) and np.all(y_min <= alone[1])
+        # rounding is monotone, so the min of the targets is the min of the sums
+        assert np.array_equal(y_min, np.minimum(*alone))
 
     def test_no_smoothing_equals_zero_delta(self):
         agent = make_agent(desk_cfg(variant="no_smoothing"))
         batch = batch_of(8)
         y = agent.compute_q_targets(batch)
-        y_explicit = agent.compute_q_targets(batch, delta=np.zeros((8, 1)))
-        assert np.array_equal(y, y_explicit)
+        s2 = batch["next_states"]
+        center = agent.head.center(nets.mlp_forward(agent.policy.params, s2))
+        q_in = np.concatenate([s2, agent.head.action(center, np.zeros((8, 1)))], axis=1)
+        t1, t2 = (nets.mlp_forward(c.target, q_in)[:, 0] for c in agent.critics)
+        assert np.array_equal(y, batch["rewards"] + 0.99 * np.minimum(t1, t2))
 
     def test_no_norm_drops_normalization(self):
         cfg = desk_cfg(variant="no_norm")
         agent = make_agent(cfg)
         # saturating raw outputs differ once normalization is removed
-        constant_net(agent.state.policy, 4.0)
-        agent_n = make_agent(desk_cfg(), seed=0)
-        for (_, dst), (_, src) in zip(agent_n.state.q1_target.named_tensors(),
-                                      agent.state.q1_target.named_tensors()):
-            dst[...] = src
-        for (_, dst), (_, src) in zip(agent_n.state.q2_target.named_tensors(),
-                                      agent.state.q2_target.named_tensors()):
-            dst[...] = src
-        constant_net(agent_n.state.policy, 4.0)
+        constant_net(agent.policy.params, 4.0)
+        agent_n = make_agent(desk_cfg(), seed=0)  # same seed: same targets, same noise
+        for c, c_n in zip(agent.critics, agent_n.critics):
+            assert params_equal(c.target, c_n.target)
+        constant_net(agent_n.policy.params, 4.0)
         batch = batch_of(8)
-        delta = np.zeros((8, 1))
-        y_raw = agent.compute_q_targets(batch, delta=delta)
-        y_norm = agent_n.compute_q_targets(batch, delta=delta)
+        y_raw = agent.compute_q_targets(batch)
+        y_norm = agent_n.compute_q_targets(batch)
         assert not np.allclose(y_raw, y_norm)
 
     def test_empty_batch_rejected(self):
@@ -183,15 +174,15 @@ class TestComputeQTargets:
 class TestQUpdate:
     def test_exact_targets_leave_params_unchanged(self):
         agent = make_agent()
-        constant_net(agent.state.q1, 1.5)
-        constant_net(agent.state.q2, 1.5)
-        before1, before2 = agent.state.q1.copy(), agent.state.q2.copy()
+        for critic in agent.critics:
+            constant_net(critic.params, 1.5)
+        before = [critic.params.copy() for critic in agent.critics]
         batch = batch_of(8)
         loss, td = agent.q_update(batch, np.full(8, 1.5))
         assert loss == 0.0
         assert np.all(td == 0.0)
-        assert params_equal(agent.state.q1, before1)
-        assert params_equal(agent.state.q2, before2)
+        for critic, prev in zip(agent.critics, before):
+            assert params_equal(critic.params, prev)
 
     def test_loss_decreases_on_repeated_updates(self):
         agent = make_agent(desk_cfg(lr=1e-2))
@@ -206,12 +197,12 @@ class TestQUpdate:
         # Q reduced to its output bias: one update on one sample must cut
         # the squared error for a small learning rate
         agent = make_agent(desk_cfg(lr=1e-3))
-        constant_net(agent.state.q1, 0.0)
-        constant_net(agent.state.q2, 0.0)
+        for critic in agent.critics:
+            constant_net(critic.params, 0.0)
         batch = batch_of(1)
         target = np.array([1.0])
         before, _ = agent.q_update(batch, target)
-        after = float((agent.state.q1.biases[-1][0] - 1.0) ** 2)
+        after = float((agent.critics[0].params.biases[-1][0] - 1.0) ** 2)
         assert after < before == 1.0
 
     def test_unit_is_weights_match_unweighted(self):
@@ -223,27 +214,21 @@ class TestQUpdate:
         loss_u, td_u = a2.q_update(batch, targets)
         assert loss_w == loss_u
         assert np.array_equal(td_w, td_u)
-        assert params_equal(a1.state.q1, a2.state.q1)
+        assert params_equal(a1.critics[0].params, a2.critics[0].params)
 
     def test_td_error_is_average_of_both_nets(self):
         agent = make_agent()
-        constant_net(agent.state.q1, 2.0)
-        constant_net(agent.state.q2, 1.0)
+        constant_net(agent.critics[0].params, 2.0)
+        constant_net(agent.critics[1].params, 1.0)
         batch = batch_of(4)
         _, td = agent.q_update(batch, np.zeros(4))
         np.testing.assert_allclose(td, 0.5 * (2.0 + 1.0))
 
-    def test_single_q_leaves_second_net_untouched(self):
-        agent = make_agent(desk_cfg(variant="single_q"))
-        before = agent.state.q2.copy()
-        agent.q_update(batch_of(8), np.ones(8))
-        assert params_equal(agent.state.q2, before)
-
     def test_policy_untouched_by_q_update(self):
         agent = make_agent()
-        before = agent.state.policy.copy()
+        before = agent.policy.params.copy()
         agent.q_update(batch_of(8), np.ones(8))
-        assert params_equal(agent.state.policy, before)
+        assert params_equal(agent.policy.params, before)
 
     def test_nonfinite_target_raises(self):
         agent = make_agent()
@@ -254,24 +239,24 @@ class TestQUpdate:
 class TestPolicyUpdate:
     def test_constant_q_gives_zero_gradient(self):
         agent = make_agent()
-        constant_net(agent.state.q1, 5.0)
-        before = agent.state.policy.copy()
+        constant_net(agent.critics[0].params, 5.0)
+        before = agent.policy.params.copy()
         agent.policy_update(batch_of(8))
-        assert params_equal(agent.state.policy, before)
+        assert params_equal(agent.policy.params, before)
 
     def test_q_nets_bit_identical_after_policy_update(self):
         agent = make_agent()
-        b1, b2 = agent.state.q1.copy(), agent.state.q2.copy()
+        before = [critic.params.copy() for critic in agent.critics]
         agent.policy_update(batch_of(8))
-        assert params_equal(agent.state.q1, b1)
-        assert params_equal(agent.state.q2, b2)
+        for critic, prev in zip(agent.critics, before):
+            assert params_equal(critic.params, prev)
 
     def test_scalar_policy_converges_to_quadratic_optimum(self):
         # Q(s, a) = -|a - 0.3| built exactly from two relu units; ascending
         # it must drive the squashed scalar policy output to 0.3
         cfg = desk_cfg(lr=3e-3)
         agent = make_agent(cfg, scale=2.0)
-        q = agent.state.q1
+        q = agent.critics[0].params
         zero_params(q)
         q.weights[0][1, 0] = 1.0   # action input -> unit 0: relu(a - 0.3)
         q.biases[0][0] = -0.3
@@ -281,11 +266,11 @@ class TestPolicyUpdate:
         q.weights[1][1, 1] = 1.0
         q.weights[2][0, 0] = -1.0
         q.weights[2][1, 0] = -1.0
-        zero_params(agent.state.policy)
+        zero_params(agent.policy.params)
         batch = batch_of(4)
         for _ in range(4000):
             agent.policy_update(batch)
-        mu = nets.mlp_forward(agent.state.policy, batch["states"])
+        mu = nets.mlp_forward(agent.policy.params, batch["states"])
         a = 2.0 * np.tanh(mu)
         np.testing.assert_allclose(a, 0.3, atol=1e-3)
 
@@ -293,12 +278,12 @@ class TestPolicyUpdate:
         agent = make_agent(desk_cfg(), state_dim=2, seed=5)
         batch = batch_of(6, state_dim=2, seed=6)
         # make the normalization branch active for some rows
-        agent.state.policy.biases[-1][...] = 1.2
+        agent.policy.params.biases[-1][...] = 1.2
         _, grads = agent.policy_objective_and_grads(batch)
         h = 1e-6
         worst = 0.0
         for tensors in ("weights", "biases"):
-            for p, g in zip(getattr(agent.state.policy, tensors),
+            for p, g in zip(getattr(agent.policy.params, tensors),
                             getattr(grads, tensors)):
                 flat_p, flat_g = p.reshape(-1), g.reshape(-1)
                 for i in range(flat_p.size):
@@ -322,21 +307,21 @@ class TestPolicyUpdate:
         batch = batch_of(5, seed=8)
         s = batch["states"]
         n = len(s)
-        mu, cache = nets.mlp_forward_cached(agent.state.policy, s)
+        mu, cache = nets.mlp_forward_cached(agent.policy.params, s)
         q_in = np.concatenate([s, mu], axis=1)
-        _, q_cache = nets.mlp_forward_cached(agent.state.q1, q_in)
-        q_grad = nets.mlp_input_grad(agent.state.q1, q_cache, np.full((n, 1), 1 / n))
+        _, q_cache = nets.mlp_forward_cached(agent.critics[0].params, q_in)
+        q_grad = nets.mlp_input_grad(agent.critics[0].params, q_cache, np.full((n, 1), 1 / n))
         c = invert_gradients(q_grad[:, 1:], clip_action(mu, agent.bounds), agent.bounds)
         _, grads = agent.policy_objective_and_grads(batch)
         h = 1e-6
-        p = agent.state.policy.weights[1]
+        p = agent.policy.params.weights[1]
         g = grads.weights[1]
         for idx in [(0, 0), (2, 3), (5, 1)]:
             orig = p[idx]
             p[idx] = orig + h
-            up = np.sum(c * nets.mlp_forward(agent.state.policy, s))
+            up = np.sum(c * nets.mlp_forward(agent.policy.params, s))
             p[idx] = orig - h
-            down = np.sum(c * nets.mlp_forward(agent.state.policy, s))
+            down = np.sum(c * nets.mlp_forward(agent.policy.params, s))
             p[idx] = orig
             numeric = (up - down) / (2 * h)
             assert abs(g[idx] - numeric) / max(abs(numeric), 1e-10) < 1e-4
@@ -346,42 +331,72 @@ class TestSoftUpdate:
     def test_fixed_point(self):
         # equality up to the one-ulp wobble of the convex blend arithmetic
         agent = make_agent()
-        agent.state.q1_target = agent.state.q1.copy()
-        agent.state.q2_target = agent.state.q2.copy()
-        soft_update_targets(agent.state, tau=0.005)
-        for (_, a), (_, b) in zip(agent.state.q1.named_tensors(),
-                                  agent.state.q1_target.named_tensors()):
+        for critic in agent.critics:
+            critic.target = critic.params.copy()
+        soft_update_targets(agent, tau=0.005)
+        for (_, a), (_, b) in zip(agent.critics[0].params.named_tensors(),
+                                  agent.critics[0].target.named_tensors()):
             np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-16)
 
     def test_blend_coefficient(self):
         agent = make_agent()
-        constant_net(agent.state.q1, 1.0)
-        zero_params(agent.state.q1_target)
-        soft_update_targets(agent.state, tau=0.005)
-        assert agent.state.q1_target.biases[-1][0] == pytest.approx(0.005)
+        constant_net(agent.critics[0].params, 1.0)
+        zero_params(agent.critics[0].target)
+        soft_update_targets(agent, tau=0.005)
+        assert agent.critics[0].target.biases[-1][0] == pytest.approx(0.005)
 
     def test_geometric_contraction(self):
         agent = make_agent()
-        constant_net(agent.state.q1, 1.0)
-        zero_params(agent.state.q1_target)
+        constant_net(agent.critics[0].params, 1.0)
+        zero_params(agent.critics[0].target)
         gaps = []
         for _ in range(3):
-            soft_update_targets(agent.state, tau=0.1)
-            gaps.append(1.0 - agent.state.q1_target.biases[-1][0])
+            soft_update_targets(agent, tau=0.1)
+            gaps.append(1.0 - agent.critics[0].target.biases[-1][0])
         np.testing.assert_allclose(np.diff(np.log(gaps)), np.log(0.9), rtol=1e-9)
 
     def test_target_lag_bound(self):
         agent = make_agent(seed=11)
-        prev = agent.state.q1_target.copy()
+        prev = agent.critics[0].target.copy()
         agent.q_update(batch_of(8), np.ones(8))
-        soft_update_targets(agent.state, tau=0.005)
+        soft_update_targets(agent, tau=0.005)
         worst_t, worst_on = 0.0, 0.0
-        for (_, t), (_, p), (_, on) in zip(agent.state.q1_target.named_tensors(),
+        for (_, t), (_, p), (_, on) in zip(agent.critics[0].target.named_tensors(),
                                            prev.named_tensors(),
-                                           agent.state.q1.named_tensors()):
+                                           agent.critics[0].params.named_tensors()):
             worst_t = max(worst_t, np.max(np.abs(t - p)))
             worst_on = max(worst_on, np.max(np.abs(on - p)))
         assert worst_t <= 0.005 * worst_on + 1e-15
+
+    @pytest.mark.parametrize("variant", ["sop", "single_q"])
+    def test_moves_only_each_target_toward_its_critic(self, variant):
+        agent = make_agent(desk_cfg(variant=variant), seed=12)
+        for _ in range(3):  # critics and targets apart
+            agent.q_update(batch_of(8), np.ones(8))
+        policy = agent.policy.params.copy()
+        online = [c.params.copy() for c in agent.critics]
+        targets = [c.target.copy() for c in agent.critics]
+        soft_update_targets(agent, tau=0.1)
+        assert params_equal(agent.policy.params, policy)
+        for critic, o, t in zip(agent.critics, online, targets):
+            assert params_equal(critic.params, o)
+            assert np.array_equal(critic.target.flat, (1 - 0.1) * t.flat + 0.1 * o.flat)
+            assert not np.array_equal(critic.target.flat, t.flat)
+
+
+class TestNetworks:
+    def test_single_q_builds_one_critic(self):
+        twin = make_agent(desk_cfg(), seed=4)
+        for variant in VARIANTS:
+            agent = make_agent(desk_cfg(variant=variant), seed=4)
+            assert len(agent.critics) == (1 if variant == "single_q" else 2)
+            assert agent.policy.target is None
+            # q2 is drawn last, so the policy and q1 do not depend on it
+            assert params_equal(agent.policy.params, twin.policy.params)
+            assert params_equal(agent.critics[0].params, twin.critics[0].params)
+            for critic in agent.critics:
+                assert params_equal(critic.target, critic.params)
+                assert critic.target.flat is not critic.params.flat
 
 
 class TestTrain:
@@ -389,9 +404,8 @@ class TestTrain:
         env = make_env("pointmass1d")
         record, agent = train(env, desk_cfg(), 0, seed=4, eval_interval=10)
         assert record.rows == []
-        fresh = make_agent(desk_cfg(), seed=0)  # different seed path; compare adam t
-        assert agent.state.q1_adam.t == 0
-        assert agent.state.policy_adam.t == 0
+        assert agent.critics[0].adam.t == 0
+        assert agent.policy.adam.t == 0
 
     def test_bit_identical_records_across_runs(self):
         env = make_env("pointmass1d")
@@ -406,7 +420,7 @@ class TestTrain:
         env = make_env("pointmass1d")
         record, agent = train(env, desk_cfg(warmup_steps=1000), 400, seed=2,
                               eval_interval=200)
-        assert agent.state.q1_adam.t == 0
+        assert agent.critics[0].adam.t == 0
         assert len(record.rows) == 2
 
     def test_ere_requested_windows_nonincreasing(self, monkeypatch):
@@ -434,13 +448,13 @@ class TestTrain:
             env = make_env("pointmass1d")
             record, agent = train(env, desk_cfg(sampler=sampler), 200, seed=1,
                                   eval_interval=100)
-            assert agent.state.q1_adam.t > 0
+            assert agent.critics[0].adam.t > 0
 
     def test_ig_variant_runs(self):
         env = make_env("pointmass1d")
         record, agent = train(env, desk_cfg(variant="sop_ig"), 200, seed=1,
                               eval_interval=100)
-        assert agent.state.q1_adam.t > 0
+        assert agent.critics[0].adam.t > 0
 
     def test_ig_variant_evaluates_on_asymmetric_box(self):
         class ShiftedPointMass(PointMass1D):
@@ -456,7 +470,7 @@ class TestTrain:
 
         record, agent = train(ShiftedPointMass(), desk_cfg(variant="sop_ig"), 200,
                               seed=1, eval_interval=100)
-        assert agent.state.q1_adam.t > 0 and len(record.rows) == 2
+        assert agent.critics[0].adam.t > 0 and len(record.rows) == 2
         for row in record.rows:
             assert 0.0 <= row.saturation_fraction <= 1.0
             assert np.isfinite(row.entropy_estimate)
@@ -482,7 +496,7 @@ def test_warm_update_allocates_nothing_of_batch_size(variant):
     def update():
         agent.q_update(batch, agent.compute_q_targets(batch))
         agent.policy_update(batch)
-        soft_update_targets(agent.state, cfg.tau)
+        soft_update_targets(agent, cfg.tau)
 
     update()  # makes the activation buffers
     tracemalloc.start()
@@ -508,7 +522,7 @@ def test_warm_update_builds_no_params(variant, monkeypatch):
         agent.q_update(batch, agent.compute_q_targets(batch))
         agent.q_update(batch, agent.compute_q_targets(batch), weights)
         agent.policy_update(batch)
-        soft_update_targets(agent.state, cfg.tau)
+        soft_update_targets(agent, cfg.tau)
 
     update()
     built = []
@@ -519,7 +533,7 @@ def test_warm_update_builds_no_params(variant, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(nets.MlpParams, "__post_init__", counting_post_init)
-    nets.zeros_like_params(agent.state.q1)
+    nets.zeros_like_params(agent.critics[0].params)
     assert len(built) == 1  # the probe sees a build
     update()
     assert len(built) == 1

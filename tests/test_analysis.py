@@ -172,7 +172,7 @@ class TestEmpirical:
 
 class TestScenarioValidation:
     def test_empty_start_requires_updates_within_capacity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^updates: .* <= buffer$"):
             SamplingScenario(100, 200, 1.0, "empty")
 
     def test_bad_start_rejected(self):

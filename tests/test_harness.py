@@ -210,7 +210,7 @@ class TestEvaluate:
     def test_zero_policy_from_half_start(self):
         cfg = AgentConfig(buffer_capacity=2000, hidden_dim=8, batch_size=16)
         agent = SopAgent(1, 1, ActionBounds.symmetric(0.1, 1), cfg, seed=0)
-        for _, arr in agent.state.policy.named_tensors():
+        for _, arr in agent.policy.params.named_tensors():
             arr[...] = 0.0
 
         class FixedStart(type(make_env("pointmass1d"))):
