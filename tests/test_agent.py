@@ -127,6 +127,18 @@ class TestComputeQTargets:
         batch["rewards"] = np.full(4, -1.0)
         np.testing.assert_allclose(agent.compute_q_targets(batch), -1.0)
 
+    def test_single_q_bypasses_min(self):
+        batch = batch_of(4)
+        batch["rewards"] = np.ones(4)
+        twin = make_agent()
+        constant_net(twin.critics[0].target, 3.0)
+        constant_net(twin.critics[1].target, 2.0)
+        np.testing.assert_allclose(twin.compute_q_targets(batch), 1.0 + 0.99 * 2.0)
+        agent = make_agent(desk_cfg(variant="single_q"))
+        constant_net(agent.critics[0].target, 3.0)
+        # the one critic's target is used as it is, with no min to lower it
+        np.testing.assert_allclose(agent.compute_q_targets(batch), 1.0 + 0.99 * 3.0)
+
     def test_min_never_exceeds_either_target_alone(self):
         agent = make_agent(desk_cfg(), state_dim=2, action_dim=1)
         batch = batch_of(32, state_dim=2)
@@ -223,6 +235,18 @@ class TestQUpdate:
         batch = batch_of(4)
         _, td = agent.q_update(batch, np.zeros(4))
         np.testing.assert_allclose(td, 0.5 * (2.0 + 1.0))
+
+    def test_single_q_leaves_second_net_untouched(self):
+        # single_q has no second critic to train: its one critic takes the
+        # same step as the twin's first, and no second critic appears
+        twin = make_agent(seed=5)
+        agent = make_agent(desk_cfg(variant="single_q"), seed=5)
+        before = agent.critics[0].params.copy()
+        for a in (twin, agent):
+            a.q_update(batch_of(8), np.ones(8))
+        assert len(agent.critics) == 1
+        assert not params_equal(agent.critics[0].params, before)
+        assert params_equal(agent.critics[0].params, twin.critics[0].params)
 
     def test_policy_untouched_by_q_update(self):
         agent = make_agent()
