@@ -150,16 +150,20 @@ class SumTree:
     the sum of its children; a full rebuild additionally runs every
     ``rebuild_every`` writes.
 
-    A write touches only the ancestors of the written leaves.  One slot
-    walks its path with integer steps.  A batch sorts its leaves once; at
-    each level it shifts them to their parents and drops each parent equal
-    to its left neighbour (ancestors of sorted leaves stay sorted).  Once a
-    level holds fewer than twice as many nodes as are touched, every
-    remaining level is recomputed whole from two strided slices.  The
-    result is bitwise that of recomputing the parents of the touched set
-    level by level: each node written is still left + right, and a node
-    under no written leaf is already the sum of its children, so writing
-    it again stores the value it has.
+    The nodes form a 1-based heap: node j has children 2j and 2j + 1, and
+    leaf i is node ``n_leaves + i``.  ``nodes`` is a view of it in the
+    0-based layout, root at 0.  A one-slot write walks its ancestors with
+    integer steps.  A batch write shifts its nodes to their parents level by
+    level and writes each as left + right, with no sort or dedup: a parent
+    shared by several nodes is written again with the same bits.  Once the
+    next level holds fewer than twice the batch, it and every level above
+    are recomputed whole from strided slices.  Either way each node written
+    is left + right of its children, so the nodes are bitwise those of a
+    level-by-level walk over the touched set.
+
+    The descent subtracts ``left_sum * right``, with ``right`` a 0/1 float,
+    instead of branching.  That is exact for a finite left_sum >= 0, so a
+    tree whose total is not finite cannot be sampled.
     """
 
     def __init__(self, capacity: int, beta1: float = 0.4, beta2: float = 0.4,
@@ -172,16 +176,20 @@ class SumTree:
         self.priority_floor = priority_floor
         self.rebuild_every = rebuild_every
         self.n_leaves = 1 << (capacity - 1).bit_length()
-        self.nodes = np.zeros(2 * self.n_leaves - 1)
+        self._heap = np.zeros(2 * self.n_leaves)  # _heap[0] is unused
         self.max_raw_priority = 1.0
         self.writes = 0
 
     @property
+    def nodes(self) -> np.ndarray:
+        return self._heap[1:]
+
+    @property
     def total(self) -> float:
-        return float(self.nodes[0])
+        return float(self._heap[1])
 
     def leaf_values(self) -> np.ndarray:
-        return self.nodes[self.n_leaves - 1:self.n_leaves - 1 + self.capacity]
+        return self._heap[self.n_leaves:self.n_leaves + self.capacity]
 
     def set_raw(self, slots: np.ndarray, raw_priorities: np.ndarray) -> None:
         """Write raw priorities p (already including the floor); stores p^beta1.
@@ -202,66 +210,62 @@ class SumTree:
                 raise ValueError("priority not finite")
             if low < self.priority_floor:
                 raise ValueError("priority below floor")
+            stored = raw ** self.beta1
+            if not math.isfinite(stored.max()):
+                raise ValueError("priority ** beta1 not finite")
         if not slots.size:
             return
         self.max_raw_priority = max(self.max_raw_priority, high)
-        idx = slots + self.n_leaves - 1
-        self.nodes[idx] = raw ** self.beta1
+        heap = self._heap
+        j = slots + self.n_leaves
+        heap[j] = stored
+        del stored  # not held while the ancestors are summed: the peak of a full write
         self.writes += slots.size
         if self.writes >= self.rebuild_every:
             self.rebuild()
-        elif idx.size == 1:
-            nodes, i = self.nodes, int(idx[0])
-            while i:
-                i = (i - 1) >> 1
-                nodes[i] = nodes[2 * i + 1] + nodes[2 * i + 2]
+        elif j.size == 1:
+            i = int(j[0])
+            while i > 1:
+                i >>= 1
+                heap[i] = heap[2 * i] + heap[2 * i + 1]
         else:
-            self._write_ancestors(np.sort(idx))
-
-    def _write_ancestors(self, touched: np.ndarray) -> None:
-        """Recompute the ancestors of the sorted leaf indices ``touched``."""
-        nodes = self.nodes
-        lo = self.n_leaves - 1  # first index of the level holding ``touched``
-        while lo > 0:
-            parent_lo = lo // 2
-            touched = (touched - 1) >> 1
-            keep = np.empty(touched.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(touched[1:], touched[:-1], out=keep[1:])
-            touched = touched[keep]
-            if 2 * touched.size > lo - parent_lo:
-                self._sum_levels(lo)
-                return
-            nodes[touched] = nodes[2 * touched + 1] + nodes[2 * touched + 2]
-            lo = parent_lo
+            lo = self.n_leaves  # first node of the level holding ``j``
+            while 4 * j.size <= lo:
+                j >>= 1
+                left = j + j
+                heap[j] = heap[left] + heap[1:][left]  # heap[1:][left] is heap[left + 1]
+                lo >>= 1
+            self._sum_levels(lo)
 
     def _sum_levels(self, lo: int) -> None:
         """Recompute every level above the one starting at node ``lo``."""
-        level = self.nodes[lo:2 * lo + 1]
-        while lo > 0:
-            parent_lo = lo // 2
-            self.nodes[parent_lo:lo] = level[0::2] + level[1::2]
-            level = self.nodes[parent_lo:lo]
-            lo = parent_lo
+        heap = self._heap
+        while lo > 1:
+            heap[lo >> 1:lo] = heap[lo:2 * lo:2] + heap[lo + 1:2 * lo:2]
+            lo >>= 1
 
     def rebuild(self) -> None:
         """Recompute all internal nodes bottom-up from the leaves."""
-        self._sum_levels(self.n_leaves - 1)
+        self._sum_levels(self.n_leaves)
         self.writes = 0
 
     def sample_slots(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         """Draw slots with probability proportional to stored leaf values."""
-        if self.total <= 0:
-            raise ValueError("cannot sample from an all-zero tree")
-        targets = rng.random(batch) * self.total
-        idx = np.zeros(batch, dtype=np.int64)
-        while idx[0] < self.n_leaves - 1:
-            left = 2 * idx + 1
-            left_sum = self.nodes[left]
-            go_left = targets < left_sum
-            targets = np.where(go_left, targets, targets - left_sum)
-            idx = np.where(go_left, left, left + 1)
-        return idx - (self.n_leaves - 1)
+        total = self.total
+        if not 0.0 < total < math.inf:  # NaN fails both
+            raise ValueError(f"cannot sample from a tree whose total is {total}")
+        heap = self._heap
+        targets = rng.random(batch) * total
+        j = np.ones(batch, dtype=np.int64)
+        right = np.empty(batch)
+        for _ in range(self.n_leaves.bit_length() - 1):
+            j += j
+            left_sum = heap[j]
+            np.greater_equal(targets, left_sum, out=right)
+            left_sum *= right
+            targets -= left_sum
+            np.add(j, right, out=j, casting="unsafe")
+        return j - self.n_leaves
 
     def probabilities(self) -> np.ndarray:
         return self.leaf_values() / self.total

@@ -46,6 +46,39 @@ class LevelWalkTree(SumTree):
             parents = np.unique((parents - 1) // 2)
 
 
+def where_descent(tree, batch, rng):
+    """Oracle: the PER descent over the 0-based ``nodes``, branching with
+    ``np.where`` at every level."""
+    nodes = tree.nodes
+    targets = rng.random(batch) * tree.total
+    idx = np.zeros(batch, dtype=np.int64)
+    while idx[0] < tree.n_leaves - 1:
+        left = 2 * idx + 1
+        left_sum = nodes[left]
+        go_left = targets < left_sum
+        targets = np.where(go_left, targets, targets - left_sum)
+        idx = np.where(go_left, left, left + 1)
+    return idx - (tree.n_leaves - 1)
+
+
+def assert_descent_matches_where(tree, batch, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(tree.sample_slots(batch, rng),
+                          where_descent(tree, batch, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class FixedTargets:
+    """Stands in for a generator: ``random`` returns the given fractions."""
+
+    def __init__(self, fractions):
+        self.fractions = np.array(fractions)
+
+    def random(self, batch):
+        assert batch == self.fractions.size
+        return self.fractions.copy()
+
+
 def tree_state(tree):
     return tree.nodes.copy(), tree.max_raw_priority, tree.writes
 
@@ -386,6 +419,90 @@ class TestSumTree:
             tree.set_raw(slots, raw)
             oracle.set_raw(slots, raw)
         assert np.array_equal(tree.nodes, oracle.nodes)
+
+    def test_overflowing_stored_priority_rejected_before_any_change(self):
+        tree = SumTree(4, beta1=2.0)
+        tree.set_raw(np.arange(4), np.linspace(1.0, 2.0, 4))
+        before = tree_state(tree)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError):
+            tree.set_raw(np.array([1]), np.array([1e200]))
+        assert_unchanged(tree, before)
+
+    def test_tree_with_overflowing_total_cannot_be_sampled(self):
+        tree = SumTree(4, beta1=1.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            tree.set_raw(np.array([1, 3]), np.array([1e308, 1e308]))
+        assert tree.total == np.inf
+        with pytest.raises(ValueError, match="total is inf"):
+            tree.sample_slots(8, np.random.default_rng(0))
+
+
+class TestNodesLayout:
+    """``nodes`` is the public 0-based layout: root at 0, children of node i
+    at 2i + 1 and 2i + 2, leaves from ``n_leaves - 1``."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 300])
+    def test_length_and_leaf_offset(self, capacity):
+        tree = SumTree(capacity, beta1=1.0)
+        tree.set_raw(np.arange(capacity), np.arange(1.0, capacity + 1.0))
+        assert tree.nodes.shape == (2 * tree.n_leaves - 1,)
+        assert np.array_equal(tree.nodes[tree.n_leaves - 1:][:capacity], tree.leaf_values())
+        assert tree.nodes[0] == tree.total
+
+    def test_edit_in_place_is_seen_by_total_and_sampling(self):
+        tree = SumTree(4, beta1=1.0)
+        tree.set_raw(np.arange(4), np.ones(4))
+        restored = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+        tree.nodes[:] = restored  # as a snapshot restore writes the nodes back
+        assert tree.total == 1.0
+        assert np.array_equal(tree.leaf_values(), [0.0, 0.0, 0.0, 1.0])
+        assert set(tree.sample_slots(64, np.random.default_rng(0))) == {3}
+        tree.nodes[0] = 0.0
+        with pytest.raises(ValueError, match="total is 0.0"):
+            tree.sample_slots(1, np.random.default_rng(0))
+
+    def test_nodes_cannot_be_rebound(self):
+        tree = SumTree(4)
+        with pytest.raises(AttributeError):
+            tree.nodes = np.zeros(7)
+
+
+class TestDescent:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 32, 300, 1000]),
+           st.lists(st.tuples(st.integers(0, 999),
+                              st.one_of(st.just(0.0), st.floats(1e-6, 10.0))),
+                    min_size=1, max_size=60),
+           st.floats(0.1, 1.0), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_equal_to_where_descent(self, capacity, writes, beta1, batch, seed):
+        # zero-priority leaves, including unwritten ones and the padding, and
+        # slots folded into the capacity so that small trees repeat them
+        tree = SumTree(capacity, beta1=beta1, priority_floor=0.0)
+        slots = np.array([s % capacity for s, _ in writes])
+        tree.set_raw(slots, np.array([p for _, p in writes]))
+        if tree.total == 0.0:
+            tree.set_raw(slots[:1], np.array([1.0]))
+        assert_descent_matches_where(tree, batch, seed)
+
+    def test_equal_to_where_descent_at_depth_twenty(self):
+        rng = np.random.default_rng(256)
+        tree = SumTree(1_000_000)
+        tree.set_raw(np.arange(1_000_000), rng.uniform(1e-3, 2.0, 1_000_000))
+        for _ in range(3):
+            tree.set_raw(rng.integers(0, 1_000_000, 256), rng.uniform(1e-3, 2.0, 256))
+            assert_descent_matches_where(tree, 256, int(rng.integers(2**32)))
+
+    @pytest.mark.parametrize("fraction, slot", [
+        (0.0, 1),  # target 0 equals the zero left sum: slot 0 is never drawn
+        (0.3, 2),  # 3 of 10 equals the root's left sum, then 0 goes left
+        (0.6, 3),  # 6 of 10: right at the root, then 3 equals leaf 2
+        (0.9, 3),
+    ])
+    def test_target_equal_to_a_left_sum_goes_right(self, fraction, slot):
+        tree = SumTree(4, beta1=1.0, priority_floor=0.0)
+        tree.set_raw(np.arange(4), np.array([0.0, 3.0, 3.0, 4.0]))
+        assert tree.sample_slots(1, FixedTargets([fraction])) == [slot]
+        assert where_descent(tree, 1, FixedTargets([fraction])) == [slot]
 
 
 class TestPerSampling:
