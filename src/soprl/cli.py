@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from . import analysis
@@ -81,11 +80,9 @@ def _cmd_counts(args: argparse.Namespace) -> int:
         analytic = analysis.expected_counts(scn)
         empirical, sigma = analysis.empirical_counts(scn, args.trials,
                                                      make_rng(args.seed, "counts"))
-        writer = csv.writer(out)
-        writer.writerow(["index", "analytic", "empirical_mean", "empirical_sigma"])
-        # formatted lazily: .tolist() is no faster and would hold three lists at once
-        columns = (map(repr, map(float, col)) for col in (analytic, empirical, sigma))
-        writer.writerows(zip(range(scn.n_positions), *columns))
+        out.write("index,analytic,empirical_mean,empirical_sigma\r\n")
+        out.writelines(f"{i},{a!r},{e!r},{s!r}\r\n" for i, a, e, s in zip(
+            range(scn.n_positions), analytic.tolist(), empirical.tolist(), sigma.tolist()))
     finally:
         if args.out:
             out.close()

@@ -131,6 +131,50 @@ class TestBuffer:
         got = [buf.rewards[buf.recent_slot(i)] for i in range(buf.size)]
         assert got == [7.0, 6.0, 5.0, 4.0, 3.0]
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]),
+           st.sampled_from([1, 3, 17]), st.data())
+    def test_gather_matches_per_field_reference(self, sd, ad, capacity, data):
+        """The row layout is invisible: a batch is what indexing five
+        per-field arrays gave, as fresh C-contiguous arrays."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+        buf = ReplayBuffer(capacity, sd, ad)
+        # per-field reference of the ring: push k lands in slot k % capacity
+        ref = {"states": [np.zeros(sd)] * capacity, "actions": [np.zeros(ad)] * capacity,
+               "rewards": [0.0] * capacity, "next_states": [np.zeros(sd)] * capacity,
+               "dones": [False] * capacity}
+        for k in range(data.draw(st.integers(1, 3 * capacity))):
+            t = Transition(rng.normal(size=sd), rng.normal(size=ad), float(rng.normal()),
+                           rng.normal(size=sd), bool(rng.integers(2)))
+            assert buf.push(t) == k % capacity
+            for name, value in zip(ref, (t.state, t.action, t.reward, t.next_state, t.done)):
+                ref[name][k % capacity] = value
+        slots = np.array(data.draw(st.lists(st.integers(-capacity, capacity - 1), max_size=9)),
+                         dtype=np.int64)
+        before = {name: getattr(buf, name).copy() for name in ref}
+        batch = buf.gather(slots)
+
+        b = slots.size
+        shapes = {"states": (b, sd), "actions": (b, ad), "rewards": (b,),
+                  "next_states": (b, sd), "dones": (b,)}
+        assert list(batch) == list(ref)
+        for name, got in batch.items():
+            want = np.array([ref[name][s] for s in slots]).reshape(shapes[name])
+            assert got.dtype == (bool if name == "dones" else np.float64)
+            assert got.shape == shapes[name]
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert np.array_equal(got, want)
+            got[...] = 1  # writing into the batch leaves the buffer as it was
+        for name, field in before.items():
+            assert np.array_equal(getattr(buf, name), field)
+
+        for s in range(capacity):  # the fields read back what was pushed
+            for name in ref:
+                assert np.array_equal(getattr(buf, name)[s], ref[name][s])
+        for bad in (capacity, -capacity - 1):
+            with pytest.raises(IndexError):
+                buf.gather(np.array([0, bad]))
+
 
 class TestUniformSampler:
     def test_size_one_buffer_returns_copies(self):
