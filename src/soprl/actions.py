@@ -72,13 +72,18 @@ def normalize_output(mu: np.ndarray) -> np.ndarray:
     "mean |mu_k| <= 1" postcondition holds exactly.  Works on a single
     vector or a batch (last axis is the action dimension).
     """
+    return _normalize(mu)[0]
+
+
+def _normalize(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``normalize_output(mu)``, with the G and the mask G > 1 it used."""
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape[-1] == 0:
         raise ValueError("empty action vector")
     g = _mean_abs(mu)
     over = g > 1.0
     if not over.any():
-        return mu.copy()
+        return mu.copy(), g, over
     out = np.where(over, mu / np.where(over, g, 1.0), mu)
     # ulp guard: division can round the mean magnitude to just above 1
     for _ in range(4):
@@ -87,7 +92,7 @@ def normalize_output(mu: np.ndarray) -> np.ndarray:
         if not bad.any():
             break
         out = np.where(bad, out / np.where(bad, m, 1.0), out)
-    return out
+    return out, g, over
 
 
 def normalize_output_vjp(mu: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -98,14 +103,17 @@ def normalize_output_vjp(mu: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     |.| at zero is taken as 0.  On the other branch the map is identity.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    v = np.asarray(grad_out, dtype=np.float64)
-    k = mu.shape[-1]
     g = _mean_abs(mu)
-    over = g > 1.0
+    return _normalize_vjp(mu, np.asarray(grad_out, dtype=np.float64), g, g > 1.0)
+
+
+def _normalize_vjp(mu: np.ndarray, v: np.ndarray, g: np.ndarray,
+                   over: np.ndarray) -> np.ndarray:
+    """``normalize_output_vjp(mu, v)`` given G = mean|mu_k| and G > 1."""
     g_safe = np.where(over, g, 1.0)
     sign = np.sign(mu)
     vdotmu = np.add.reduce(v * mu, axis=-1, keepdims=True)
-    scaled = v / g_safe - vdotmu * sign / (k * g_safe * g_safe)
+    scaled = v / g_safe - vdotmu * sign / (mu.shape[-1] * g_safe * g_safe)
     return np.where(over, scaled, v)
 
 
@@ -203,12 +211,21 @@ class TanhHead:
         return squash(h, noise, self.bounds)
 
     def forward_vjp(self, mu: np.ndarray):
-        """The action Q1 sees in the policy objective, and its VJP back to mu."""
-        h = self.center(mu)
+        """The action Q1 sees in the policy objective, and its VJP back to mu.
+
+        The normalization's mean magnitude and mask are worked out once and
+        serve both passes; the bits are those of ``normalize_output`` and
+        ``normalize_output_vjp``.
+        """
+        if self.normalize:
+            mu = np.asarray(mu, dtype=np.float64)
+            h, g, over = _normalize(mu)
+        else:
+            h = mu
 
         def vjp(a_grad: np.ndarray) -> np.ndarray:
             h_grad = a_grad * squash_grad(h, self.bounds)
-            return normalize_output_vjp(mu, h_grad) if self.normalize else h_grad
+            return _normalize_vjp(mu, h_grad, g, over) if self.normalize else h_grad
 
         return self.action(h, np.zeros_like(h)), vjp
 

@@ -195,7 +195,7 @@ def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
         if grads is not None:
             inp = cache.x if i == 0 else cache.hidden[i - 1]
             np.matmul(inp.T, upstream, out=grads.weights[i])
-            np.sum(upstream, axis=0, out=grads.biases[i])
+            np.add.reduce(upstream, axis=0, out=grads.biases[i])
         if i == 0:
             return None if grads is not None else upstream @ params.weights[0].T
         h = cache.hidden[i - 1]

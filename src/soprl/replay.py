@@ -167,17 +167,21 @@ class SumTree:
 
     The nodes form a 1-based heap: node j has children 2j and 2j + 1, and
     leaf i is node ``n_leaves + i``.  ``nodes`` is a view of it in the
-    0-based layout, root at 0.  A one-slot write walks its ancestors with
-    integer steps.  A batch write shifts its nodes to their parents level by
-    level and writes each as left + right, with no sort or dedup: a parent
-    shared by several nodes is written again with the same bits.  Once the
-    next level holds fewer than twice the batch, it and every level above
-    are recomputed whole from strided slices.  Either way each node written
-    is left + right of its children, so the nodes are bitwise those of a
-    level-by-level walk over the touched set.
+    0-based layout, root at 0.  A one-slot write checks and walks its
+    ancestors with Python scalars, each parent the running sum plus the
+    sibling (IEEE addition commutes, so that is left + right).  A batch
+    write shifts its nodes to their parents level by level and writes each
+    as left + right, with no sort or dedup: a parent shared by several nodes
+    is written again with the same bits.  Once the next level holds fewer
+    than eight times the batch, it and every level above are recomputed
+    whole from strided slices.  Either way each node written is left + right
+    of its children, so the nodes are bitwise those of a level-by-level walk
+    over the touched set.
 
-    The descent subtracts ``left_sum * right``, with ``right`` a 0/1 float,
-    instead of branching.  That is exact for a finite left_sum >= 0, so a
+    The descent subtracts ``left_sum * right``, with ``right`` a bool mask,
+    instead of branching, and steps to the right child by adding the mask.
+    Both are same-kind numpy calls, which cost far less than the casts of a
+    mixed-dtype one.  The product is exact for a finite left_sum >= 0, so a
     tree whose total is not finite cannot be sampled.
     """
 
@@ -213,8 +217,32 @@ class SumTree:
         the last write to a repeated slot wins.  Every check runs before
         anything is changed.
         """
-        slots = np.atleast_1d(np.asarray(slots, dtype=np.int64)).ravel()
-        raw = np.atleast_1d(np.asarray(raw_priorities, dtype=np.float64)).ravel()
+        slots = np.asarray(slots, dtype=np.int64)
+        raw = np.asarray(raw_priorities, dtype=np.float64)
+        if slots.size == raw.size == 1 and self.writes + 1 < self.rebuild_every:
+            # the max-priority insert of every env step: the same checks in
+            # the same order, on Python scalars
+            slot, high = slots.item(), raw.item()
+            if not 0 <= slot < self.capacity:
+                raise IndexError("slot out of range")
+            if not math.isfinite(high):
+                raise ValueError("priority not finite")
+            if high < self.priority_floor:
+                raise ValueError("priority below floor")
+            value = (raw ** self.beta1).item()  # numpy's power, as a batch write's
+            if not math.isfinite(value):
+                raise ValueError("priority ** beta1 not finite")
+            self.max_raw_priority = max(self.max_raw_priority, high)
+            heap = memoryview(self._heap)  # indexes to and from Python floats
+            i = self.n_leaves + slot
+            heap[i] = value
+            self.writes += 1
+            while i > 1:
+                value += heap[i ^ 1]
+                i >>= 1
+                heap[i] = value
+            return
+        slots, raw = np.atleast_1d(slots).ravel(), np.atleast_1d(raw).ravel()
         if slots.size and (slots.min() < 0 or slots.max() >= self.capacity):
             raise IndexError("slot out of range")
         if raw.size != 1 and raw.size != slots.size:
@@ -238,14 +266,9 @@ class SumTree:
         self.writes += slots.size
         if self.writes >= self.rebuild_every:
             self.rebuild()
-        elif j.size == 1:
-            i = int(j[0])
-            while i > 1:
-                i >>= 1
-                heap[i] = heap[2 * i] + heap[2 * i + 1]
         else:
             lo = self.n_leaves  # first node of the level holding ``j``
-            while 4 * j.size <= lo:
+            while 16 * j.size <= lo:
                 j >>= 1
                 left = j + j
                 heap[j] = heap[left] + heap[1:][left]  # heap[1:][left] is heap[left + 1]
@@ -272,14 +295,14 @@ class SumTree:
         heap = self._heap
         targets = rng.random(batch) * total
         j = np.ones(batch, dtype=np.int64)
-        right = np.empty(batch)
+        right = np.empty(batch, dtype=bool)
         for _ in range(self.n_leaves.bit_length() - 1):
             j += j
             left_sum = heap[j]
             np.greater_equal(targets, left_sum, out=right)
             left_sum *= right
             targets -= left_sum
-            np.add(j, right, out=j, casting="unsafe")
+            j += right
         return j - self.n_leaves
 
     def probabilities(self) -> np.ndarray:
@@ -322,16 +345,28 @@ def exponential_segment_masses(size: int, lam: float, segment: int) -> np.ndarra
     return np.exp(-lam * starts) * -np.expm1(-lam * lengths)
 
 
-@functools.lru_cache(maxsize=8)
-def _segment_cdf(size: int, lam: float) -> np.ndarray:
+@functools.lru_cache(maxsize=2)  # a growing buffer needs one entry per size, in turn
+def _segment_cdf(size: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized cumulative segment masses, built as Generator.choice builds
-    them from ``p``, so a search of this CDF draws the same segments."""
+    them from ``p``, so a search of this CDF draws the same segments; and a
+    guide table for that search (Chen & Asau).
+
+    Bucket b of the table's G covers [b/G, (b+1)/G) and holds #{cdf <= b/G},
+    the answer for the bucket's lowest key and a lower bound for the rest.
+    G is a power of two, so u * G and cdf * G are exact: a CDF value is at
+    most b/G exactly when its scaled ceiling is at most b.  G lies in
+    (8, 16] times the segment count, a table of 1 MB at 10,000 segments.
+    """
     masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
     probs = masses / masses.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
+    buckets = 1 << (8 * cdf.size).bit_length()
+    guide = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+    guide.cumsum(out=guide)  # in place: one table's memory at the peak
+    guide = guide[:buckets]
+    cdf.flags.writeable = guide.flags.writeable = False
+    return cdf, guide
 
 
 def sample_exponential(buffer: ReplayBuffer, lam: float, batch: int,
@@ -340,13 +375,21 @@ def sample_exponential(buffer: ReplayBuffer, lam: float, batch: int,
     exact exponential mass, then uniformly within it (index 0 = most recent).
 
     The segment draw is ``rng.choice(n_segments, batch, p=masses / sum)``
-    done by hand: one uniform per draw, searched in the cached CDF.  Slots
-    and generator state are the same as that call's.
+    done by hand: one uniform u per draw, and its segment #{cdf <= u}, the
+    ``searchsorted(u, side="right")`` of the cached CDF.  The guide table
+    gives that count for most draws with two gathers; a draw whose bucket
+    holds a CDF value at or below u is searched.  Slots and generator state
+    are the same as that call's.
     """
     _require_nonempty(buffer)
     if not 0 < lam < np.inf:
         raise ValueError("lambda must be positive and finite")
-    seg = _segment_cdf(buffer.size, lam).searchsorted(rng.random(batch), side="right")
+    cdf, guide = _segment_cdf(buffer.size, lam)
+    u = rng.random(batch)
+    seg = guide.take((u * guide.size).astype(np.intp))
+    past = cdf.take(seg) <= u
+    if past.any():
+        seg[past] = cdf.searchsorted(u[past], side="right")
     starts = seg * EXP_SEGMENT
     lengths = np.minimum(starts + EXP_SEGMENT, buffer.size) - starts
     recency = starts + rng.integers(0, lengths)

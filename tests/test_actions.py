@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from soprl.actions import (ActionBounds, clip_action,
+from soprl.actions import (ActionBounds, TanhHead, clip_action,
                            invert_gradients, normalize_output,
                            normalize_output_vjp, saturation_fraction, squash,
-                           squashed_policy_entropy)
+                           squash_grad, squashed_policy_entropy)
 
 finite_vec = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=8)
 
@@ -71,6 +71,26 @@ class TestNormalizeOutput:
                               - np.sum(v * normalize_output(mu - e))) / (2 * h)
             np.testing.assert_allclose(normalize_output_vjp(mu, v), numeric,
                                        rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("mu", [
+        [[0.1, -0.2, 0.3], [0.5, -0.0, -0.9]],
+        [[2.5, -0.4, 1.7], [0.1, 0.2, -0.3], [-3.0, 0.0, 4.0]],
+        [[2.0627060966641606, -2.9770747452050585, 0.9957444419292649], [0.1, 0.2, 0.3]],
+    ], ids=["identity", "over-one", "ulp-guard"])
+    def test_tanh_head_forward_vjp_is_bitwise_the_public_pair(self, mu):
+        mu = np.array(mu)
+        g = np.mean(np.abs(mu), axis=-1, keepdims=True)
+        overshoots = (g[:, 0] > 1.0) & (np.mean(np.abs(mu / g), axis=-1) > 1.0)
+        assert overshoots.any() == (mu[0, 0] == 2.0627060966641606)  # the ulp guard runs
+        bounds = ActionBounds.symmetric(2.0, 3)
+        a_grad = np.random.default_rng(1).standard_normal(mu.shape)
+        action, vjp = TanhHead(bounds, normalize=True).forward_vjp(mu)
+        h = normalize_output(mu)
+        want_grad = normalize_output_vjp(mu, a_grad * squash_grad(h, bounds))
+        for got, want in ((action, squash(h, np.zeros_like(h), bounds)),
+                          (vjp(a_grad), want_grad)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSquash:

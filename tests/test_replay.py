@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soprl.replay import (EXP_SEGMENT, EreConfig, PerfTracker, ReplayBuffer,
-                          SumTree, Transition, adapt_eta, ere_range,
+                          SumTree, Transition, _segment_cdf, adapt_eta, ere_range,
                           exponential_segment_masses, per_sample,
                           per_update_priorities, sample_ere,
                           sample_exponential, sample_uniform)
@@ -77,6 +77,9 @@ class FixedTargets:
     def random(self, batch):
         assert batch == self.fractions.size
         return self.fractions.copy()
+
+    def integers(self, low, high):
+        return np.zeros_like(high)
 
 
 def tree_state(tree):
@@ -371,6 +374,22 @@ class TestSumTree:
             tree.set_raw(rng.integers(0, 16, 4), rng.uniform(1, 2, 4))
         assert tree.writes < 10  # reset by the triggered rebuild
 
+    def test_one_slot_write_reaching_the_budget_calls_rebuild(self):
+        class CountedRebuild(SumTree):
+            rebuilds = 0
+
+            def rebuild(self):
+                self.rebuilds += 1
+                super().rebuild()
+
+        tree, oracle = CountedRebuild(16, rebuild_every=3), LevelWalkTree(16, rebuild_every=3)
+        for slot in range(7):
+            tree.set_raw(np.array([slot]), np.array([1.5 + slot]))
+            oracle.set_raw(np.array([slot]), np.array([1.5 + slot]))
+            assert tree.rebuilds == (slot + 1) // 3
+            assert tree.writes == oracle.writes == (slot + 1) % 3
+        assert np.array_equal(tree.nodes, oracle.nodes)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 31), st.floats(0.01, 10)),
                     min_size=1, max_size=64))
@@ -386,11 +405,16 @@ class TestSumTree:
         ([1], [np.nan]),
         ([1], [np.inf]),
         ([1], [-np.inf]),
+        ([1], [1e-7]),
+        (1, np.nan),
+        (1, 1e-7),
         ([1, 2, 3], [5.0, np.nan, 2.0]),
+        ([1, 2, 3], [5.0, 1e-7, 2.0]),
         ([1, 2, 3], [5.0, 2.0]),
         ([1], [5.0, 2.0]),
         ([1], []),
-    ], ids=["nan", "inf", "-inf", "nan-in-batch", "short-priorities",
+    ], ids=["nan", "inf", "-inf", "below-floor", "nan-scalar", "below-floor-scalar",
+            "nan-in-batch", "below-floor-in-batch", "short-priorities",
             "long-priorities", "no-priorities"])
     def test_bad_priorities_rejected_before_any_change(self, slots, raw):
         tree = SumTree(8)
@@ -405,6 +429,20 @@ class TestSumTree:
         before = tree_state(tree)
         with pytest.raises(IndexError):
             tree.set_raw(np.array([1, 8]), np.array([5.0, 2.0]))
+        assert_unchanged(tree, before)
+
+    @pytest.mark.parametrize("slot, raw", [
+        ([-1], [5.0]),
+        ([8], [5.0]),
+        (8, 5.0),
+        ([8], [np.nan]),  # the slot is checked before the priority
+    ], ids=["minus-one", "capacity", "capacity-scalar", "capacity-nan"])
+    def test_bad_one_slot_rejected_before_any_change(self, slot, raw):
+        tree = SumTree(8)
+        tree.set_raw(np.arange(8), np.linspace(1.0, 2.0, 8))
+        before = tree_state(tree)
+        with pytest.raises(IndexError):
+            tree.set_raw(np.array(slot), np.array(raw))
         assert_unchanged(tree, before)
 
     @pytest.mark.parametrize("raw", [[], [2.0]], ids=["no-priorities", "one-priority"])
@@ -448,6 +486,24 @@ class TestSumTree:
             assert tree.writes == oracle.writes
             assert tree.max_raw_priority == oracle.max_raw_priority
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 32, 1000]), st.sampled_from([5, 100_000]),
+           st.lists(st.tuples(st.integers(0, 999), st.floats(1e-6, 10.0), st.booleans()),
+                    min_size=1, max_size=60),
+           st.floats(0.1, 2.0))
+    def test_one_slot_writes_bitwise_equal_to_level_walk(self, capacity, rebuild_every,
+                                                         writes, beta1):
+        # one slot per call, given as 1-element arrays or as 0-d ones
+        tree = SumTree(capacity, beta1=beta1, rebuild_every=rebuild_every)
+        oracle = LevelWalkTree(capacity, beta1=beta1, rebuild_every=rebuild_every)
+        for slot, raw, flat in writes:
+            slot %= capacity
+            tree.set_raw(np.array(slot if flat else [slot]), np.array(raw if flat else [raw]))
+            oracle.set_raw(np.array([slot]), np.array([raw]))
+            assert np.array_equal(tree.nodes, oracle.nodes)
+            assert tree.writes == oracle.writes
+            assert tree.max_raw_priority == oracle.max_raw_priority
+
     @pytest.mark.parametrize("batch", [1, 2, 256, 5000])
     def test_bitwise_equal_to_level_walk_at_depth_twenty(self, batch):
         # a mostly-untouched 1e6-leaf tree: the levels near the leaves take
@@ -463,6 +519,8 @@ class TestSumTree:
             tree.set_raw(slots, raw)
             oracle.set_raw(slots, raw)
         assert np.array_equal(tree.nodes, oracle.nodes)
+        assert tree.writes == oracle.writes
+        assert tree.max_raw_priority == oracle.max_raw_priority
 
     def test_overflowing_stored_priority_rejected_before_any_change(self):
         tree = SumTree(4, beta1=2.0)
@@ -649,6 +707,35 @@ class TestExponentialSampler:
             want = buf.recent_slot(starts + want_rng.integers(0, lengths))
             assert np.array_equal(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size", [1, 99, 100, 101, 20_000, 1_000_000])
+    @pytest.mark.parametrize("lam", [5e-6, 1e-3])
+    def test_guide_table_segments_equal_searchsorted(self, size, lam):
+        # keys on every bucket edge b/G and every CDF value, and next to them
+        cdf, guide = _segment_cdf(size, lam)
+        edges = np.arange(guide.size) / guide.size
+        keys = np.concatenate([edges, cdf])
+        keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        buf = ReplayBuffer(size, 1, 1)
+        buf.cursor, buf.size = 37 % size, size  # contents are never read
+        slots = sample_exponential(buf, lam, keys.size, FixedTargets(keys))
+        seg = (buf.cursor - 1 - slots) % size // EXP_SEGMENT  # FixedTargets draws offset 0
+        assert np.array_equal(seg, cdf.searchsorted(keys, side="right"))
+
+    def test_table_rebuilt_as_the_buffer_grows(self):
+        # every size a new CDF and guide table, against Generator.choice
+        lam, buf = 3e-3, ReplayBuffer(3000, 1, 1)
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for size in range(1, 3001, 37):
+            buf.cursor, buf.size = size % 3000, size
+            got = sample_exponential(buf, lam, 64, got_rng)
+            masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+            seg = want_rng.choice(masses.size, size=64, p=masses / masses.sum())
+            starts = seg * EXP_SEGMENT
+            lengths = np.minimum(starts + EXP_SEGMENT, size) - starts
+            assert np.array_equal(got, buf.recent_slot(starts + want_rng.integers(0, lengths)))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_segment_frequencies_within_three_sigma(self):
         # 200 segments with 20k draws expected in the least likely one;
