@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+
+import numpy as np
 
 from . import analysis
 from .analysis import SamplingScenario
@@ -64,14 +68,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if summary.failures else 0
 
 
+def _open_beside(path: str):
+    """A new file in ``path``'s directory, and its name, to be moved over
+    ``path`` once complete: a write that fails midway leaves ``path`` as it was."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    return open(fd, "w", newline=""), tmp
+
+
+def _reprs(column: np.ndarray) -> list[str]:
+    """repr of each float64, worked out once per distinct bit pattern (keyed
+    on the int64 view, so that 0.0 and -0.0 stay apart)."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_counts(out, analytic: np.ndarray, empirical: np.ndarray,
+                  sigma: np.ndarray) -> None:
+    out.write("index,analytic,empirical_mean,empirical_sigma\r\n")
+    out.writelines(f"{i},{a},{e},{s}\r\n" for i, a, e, s in zip(
+        range(analytic.size), _reprs(analytic), _reprs(empirical), _reprs(sigma)))
+
+
 def _cmd_counts(args: argparse.Namespace) -> int:
     eta = 1.0 if args.scheme.startswith("uniform") else args.eta
     start = "empty" if args.scheme.endswith("empty") else "full"
     try:
+        # the scenario would refuse this too, after checking buffer >= 1, but
+        # by its field names
+        if start == "empty" and 1 <= args.buffer < args.updates:
+            raise ValueError("updates: an empty start needs --updates <= --buffer "
+                             f"(got {args.updates} > {args.buffer})")
         scn = SamplingScenario(args.buffer, args.updates, eta, start)
         if args.trials < 1:
             raise ValueError("trials: must be >= 1")
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
+        out, tmp = _open_beside(args.out) if args.out else (sys.stdout, None)
     except ValueError as exc:
         return _config_error(exc)
     except OSError as exc:
@@ -80,12 +115,15 @@ def _cmd_counts(args: argparse.Namespace) -> int:
         analytic = analysis.expected_counts(scn)
         empirical, sigma = analysis.empirical_counts(scn, args.trials,
                                                      make_rng(args.seed, "counts"))
-        out.write("index,analytic,empirical_mean,empirical_sigma\r\n")
-        out.writelines(f"{i},{a!r},{e!r},{s!r}\r\n" for i, a, e, s in zip(
-            range(scn.n_positions), analytic.tolist(), empirical.tolist(), sigma.tolist()))
-    finally:
-        if args.out:
+        _write_counts(out, analytic, empirical, sigma)
+        if tmp:
             out.close()
+            os.replace(tmp, args.out)
+    except BaseException:
+        if tmp:
+            out.close()
+            os.unlink(tmp)
+        raise
     return 0
 
 

@@ -36,6 +36,27 @@ class TestAgainstDenseOracle:
         assert np.array_equal(expected_counts(scn), p.sum(axis=0))
         assert np.array_equal(count_variances(scn), (p * (1.0 - p)).sum(axis=0))
 
+    @pytest.mark.parametrize("start", ["empty", "full"])
+    @pytest.mark.parametrize("eta", [0.9, 1e-3])
+    @pytest.mark.parametrize("capacity, updates", [(2, 1), (2, 2), (50, 50), (300, 200),
+                                                   (1000, 37)])
+    def test_uneven_window_edges_bitwise(self, start, eta, capacity, updates):
+        # windows that shrink fast cut the positions into many segments of
+        # unequal length, each summed once
+        scn = SamplingScenario(capacity, updates, eta, start)
+        p = dense_probabilities(scn)
+        assert np.array_equal(expected_counts(scn), p.sum(axis=0))
+        assert np.array_equal(count_variances(scn), (p * (1.0 - p)).sum(axis=0))
+
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 1e-3])
+    @pytest.mark.parametrize("capacity, updates", [(2, 5), (50, 120)])
+    def test_full_start_past_one_buffer_bitwise(self, eta, capacity, updates):
+        # every pre-existing item is evicted, and so are some new ones
+        scn = SamplingScenario(capacity, updates, eta, "full")
+        p = dense_probabilities(scn)
+        assert np.array_equal(expected_counts(scn), p.sum(axis=0))
+        assert np.array_equal(count_variances(scn), (p * (1.0 - p)).sum(axis=0))
+
     def test_no_dense_matrix_at_benchmark_size(self):
         # the dense form is 1k x 21k float64 = 168 MB here, twice for the variances
         scn = SamplingScenario(20_000, 1000, 0.996, "full")
@@ -118,6 +139,14 @@ class TestEre:
         v_full = np.var(expected_counts(scn_full)[retained_slice(scn_full)])
         v_empty = np.var(expected_counts(scn_empty)[retained_slice(scn_empty)])
         assert v_ere < v_full < v_empty
+
+    def test_window_sizes_are_a_new_array_each_call(self):
+        scn = SamplingScenario(300, 200, 0.9, "full")
+        w = scn.window_sizes()
+        first = w.copy()
+        w[:] = 1
+        assert np.array_equal(scn.window_sizes(), first)
+        assert np.array_equal(scn.window_bounds()[1] - scn.window_bounds()[0] + 1, first)
 
     def test_windows_never_exceed_present_items(self):
         scn = SamplingScenario(100, 100, 0.99, "empty")

@@ -1,9 +1,12 @@
 import csv
+import errno
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from soprl import analysis, cli
 from soprl.cli import main
 
 
@@ -97,6 +100,100 @@ def test_unwritable_out_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error: out: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert (tmp_path / "taken").read_text() == "a file, not a directory"
+
+
+def test_empty_start_error_names_the_flags_and_values(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["analyze", "counts", "--scheme", "ere_empty", "--out", "counts.csv"]
+    assert run_cli(*argv, "--buffer", "50", "--updates", "60") == 2
+    assert capsys.readouterr().err == ("config error: updates: an empty start needs "
+                                       "--updates <= --buffer (got 60 > 50)\n")
+    assert run_cli(*argv, "--buffer", "0", "--updates", "60") == 2  # buffer is checked first
+    assert capsys.readouterr().err.startswith("config error: buffer: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_counts_out_that_is_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    monkeypatch.setattr("soprl.analysis.expected_counts", no_work)
+    (tmp_path / "taken").mkdir()
+    assert run_cli("analyze", "counts", "--scheme", "uniform_full",
+                   "--out", str(tmp_path / "taken")) == 2
+    assert capsys.readouterr().err.startswith("config error: out: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any((tmp_path / "taken").iterdir())
+
+
+COUNTS_SMALL = ["analyze", "counts", "--scheme", "ere_full", "--buffer", "30",
+                "--updates", "20", "--trials", "10"]
+
+
+def test_counts_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "counts.csv"
+    out.write_bytes(b"previous\r\n")
+
+    def fail_midway(fh, *columns):
+        fh.write("index,analytic,empirical_mean,empirical_sigma\r\n0,")
+        fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_counts", fail_midway)
+    with pytest.raises(OSError, match="No space left"):
+        run_cli(*COUNTS_SMALL, "--out", str(out))
+    assert out.read_bytes() == b"previous\r\n"
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
+def test_counts_out_replaces_the_previous_file(tmp_path, capsys):
+    out = tmp_path / "counts.csv"
+    out.write_bytes(b"previous\r\n")
+    reference = tmp_path / "reference"
+    with open(reference, "w"):  # the mode a plain open gives
+        pass
+    assert run_cli(*COUNTS_SMALL) == 0
+    printed = capsys.readouterr().out.encode()
+    assert run_cli(*COUNTS_SMALL, "--out", str(out)) == 0
+    assert out.read_bytes() == printed
+    assert out.stat().st_mode == reference.stat().st_mode
+    assert sorted(tmp_path.iterdir()) == [out, reference]
+
+
+def test_counts_csv_repr_per_bit_pattern(tmp_path, monkeypatch):
+    # 0.0 == -0.0 and both hash alike, so a memo keyed by value renders one as the other
+    tiny = 5e-324  # the smallest subnormal
+    analytic = np.array([0.0, -0.0, 0.0, -0.0, 0.1, 0.1])
+    empirical = np.array([-0.0, tiny, tiny, 0.0, 2.2250738585072014e-308 / 3, -0.0])
+    sigma = np.array([1 / 3, 1 / 3, -0.0, float("nan"), float("inf"), 0.0])
+    monkeypatch.setattr("soprl.analysis.expected_counts", lambda scn: analytic)
+    monkeypatch.setattr("soprl.analysis.empirical_counts",
+                        lambda scn, trials, rng: (empirical, sigma))
+    out = tmp_path / "counts.csv"
+    assert run_cli("analyze", "counts", "--scheme", "uniform_full", "--buffer", "4",
+                   "--updates", "2", "--out", str(out)) == 0
+    expected = "index,analytic,empirical_mean,empirical_sigma\r\n" + "".join(
+        f"{i},{a!r},{e!r},{s!r}\r\n" for i, (a, e, s) in enumerate(zip(
+            analytic.tolist(), empirical.tolist(), sigma.tolist())))
+    assert out.read_bytes() == expected.encode()
+    assert b"-0.0" in out.read_bytes() and b"5e-324" in out.read_bytes()
+
+
+def test_counts_call_works_out_each_window_once(tmp_path, monkeypatch):
+    # no work count is carried from one call to the next
+    asked = []
+    ere_range = analysis.ere_range
+
+    def counted(k, *args, **kwargs):
+        asked.append(k)
+        return ere_range(k, *args, **kwargs)
+
+    monkeypatch.setattr("soprl.analysis.ere_range", counted)
+    argv = [*COUNTS_SMALL, "--out", str(tmp_path / "counts.csv")]
+    assert run_cli(*argv) == 0
+    assert asked == list(range(1, 21))
+    assert run_cli(*argv) == 0
+    assert asked == 2 * list(range(1, 21))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
