@@ -6,6 +6,7 @@ import argparse
 import errno
 import os
 import sys
+from typing import TextIO
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if summary.failures else 0
 
 
-def _open_beside(path: str):
+def _open_beside(path: str) -> tuple[TextIO, str]:
     """A new file in ``path``'s directory, and its name, to be moved over
     ``path`` once complete: a write that fails midway leaves ``path`` as it was."""
     if os.path.isdir(path):
@@ -87,7 +88,7 @@ def _reprs(column: np.ndarray) -> list[str]:
     return text[inverse].tolist()
 
 
-def _write_counts(out, analytic: np.ndarray, empirical: np.ndarray,
+def _write_counts(out: TextIO, analytic: np.ndarray, empirical: np.ndarray,
                   sigma: np.ndarray) -> None:
     out.write("index,analytic,empirical_mean,empirical_sigma\r\n")
     out.writelines(f"{i},{a},{e},{s}\r\n" for i, a, e, s in zip(
@@ -121,8 +122,10 @@ def _cmd_counts(args: argparse.Namespace) -> int:
             os.replace(tmp, args.out)
     except BaseException:
         if tmp:
-            out.close()
-            os.unlink(tmp)
+            try:
+                out.close()  # may raise too, on flushing what is buffered
+            finally:
+                os.unlink(tmp)
         raise
     return 0
 

@@ -36,23 +36,17 @@ class TestAgainstDenseOracle:
         assert np.array_equal(expected_counts(scn), p.sum(axis=0))
         assert np.array_equal(count_variances(scn), (p * (1.0 - p)).sum(axis=0))
 
-    @pytest.mark.parametrize("start", ["empty", "full"])
-    @pytest.mark.parametrize("eta", [0.9, 1e-3])
-    @pytest.mark.parametrize("capacity, updates", [(2, 1), (2, 2), (50, 50), (300, 200),
-                                                   (1000, 37)])
-    def test_uneven_window_edges_bitwise(self, start, eta, capacity, updates):
+    @pytest.mark.parametrize("capacity, updates, eta, start", [
+        *[(capacity, updates, eta, start)
+          for capacity, updates in [(2, 1), (2, 2), (50, 50), (300, 200), (1000, 37)]
+          for eta in (0.9, 1e-3) for start in ("empty", "full")],
+        # a full start past one buffer evicts every pre-existing item and some new ones
+        *[(capacity, updates, eta, "full")
+          for capacity, updates in [(2, 5), (50, 120)] for eta in (1.0, 0.9, 1e-3)]])
+    def test_uneven_window_edges_bitwise(self, capacity, updates, eta, start):
         # windows that shrink fast cut the positions into many segments of
         # unequal length, each summed once
         scn = SamplingScenario(capacity, updates, eta, start)
-        p = dense_probabilities(scn)
-        assert np.array_equal(expected_counts(scn), p.sum(axis=0))
-        assert np.array_equal(count_variances(scn), (p * (1.0 - p)).sum(axis=0))
-
-    @pytest.mark.parametrize("eta", [1.0, 0.9, 1e-3])
-    @pytest.mark.parametrize("capacity, updates", [(2, 5), (50, 120)])
-    def test_full_start_past_one_buffer_bitwise(self, eta, capacity, updates):
-        # every pre-existing item is evicted, and so are some new ones
-        scn = SamplingScenario(capacity, updates, eta, "full")
         p = dense_probabilities(scn)
         assert np.array_equal(expected_counts(scn), p.sum(axis=0))
         assert np.array_equal(count_variances(scn), (p * (1.0 - p)).sum(axis=0))
