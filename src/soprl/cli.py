@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import errno
-import os
+import contextlib
 import sys
 from typing import TextIO
 
@@ -12,7 +11,8 @@ import numpy as np
 
 from . import analysis
 from .analysis import SamplingScenario
-from .harness import ConfigError, config_defaults, parse_config, run_experiment
+from .harness import (ConfigError, _replacing, config_defaults, parse_config,
+                      run_experiment)
 from .seeds import make_rng
 
 SCHEMES = ("uniform_empty", "uniform_full", "ere_empty", "ere_full")
@@ -69,17 +69,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if summary.failures else 0
 
 
-def _open_beside(path: str) -> tuple[TextIO, str]:
-    """A new file in ``path``'s directory, and its name, to be moved over
-    ``path`` once complete: a write that fails midway leaves ``path`` as it was."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    return open(fd, "w", newline=""), tmp
-
-
 def _reprs(column: np.ndarray) -> list[str]:
     """repr of each float64, worked out once per distinct bit pattern (keyed
     on the int64 view, so that 0.0 and -0.0 stay apart)."""
@@ -98,35 +87,25 @@ def _write_counts(out: TextIO, analytic: np.ndarray, empirical: np.ndarray,
 def _cmd_counts(args: argparse.Namespace) -> int:
     eta = 1.0 if args.scheme.startswith("uniform") else args.eta
     start = "empty" if args.scheme.endswith("empty") else "full"
-    try:
-        # the scenario would refuse this too, after checking buffer >= 1, but
-        # by its field names
-        if start == "empty" and 1 <= args.buffer < args.updates:
-            raise ValueError("updates: an empty start needs --updates <= --buffer "
-                             f"(got {args.updates} > {args.buffer})")
-        scn = SamplingScenario(args.buffer, args.updates, eta, start)
-        if args.trials < 1:
-            raise ValueError("trials: must be >= 1")
-        out, tmp = _open_beside(args.out) if args.out else (sys.stdout, None)
-    except ValueError as exc:
-        return _config_error(exc)
-    except OSError as exc:
-        return _config_error(f"out: {exc}")
-    try:
+    with contextlib.ExitStack() as stack:
+        try:
+            # the scenario would refuse this too, after checking buffer >= 1,
+            # but by its field names
+            if start == "empty" and 1 <= args.buffer < args.updates:
+                raise ValueError("updates: an empty start needs --updates <= --buffer "
+                                 f"(got {args.updates} > {args.buffer})")
+            scn = SamplingScenario(args.buffer, args.updates, eta, start)
+            if args.trials < 1:
+                raise ValueError("trials: must be >= 1")
+            out = stack.enter_context(_replacing(args.out)) if args.out else sys.stdout
+        except ValueError as exc:
+            return _config_error(exc)
+        except OSError as exc:
+            return _config_error(f"out: {exc}")
         analytic = analysis.expected_counts(scn)
         empirical, sigma = analysis.empirical_counts(scn, args.trials,
                                                      make_rng(args.seed, "counts"))
         _write_counts(out, analytic, empirical, sigma)
-        if tmp:
-            out.close()
-            os.replace(tmp, args.out)
-    except BaseException:
-        if tmp:
-            try:
-                out.close()  # may raise too, on flushing what is buffered
-            finally:
-                os.unlink(tmp)
-        raise
     return 0
 
 

@@ -2,17 +2,23 @@
 
 Per-seed learning curves land in ``seed_<s>.csv`` with a fixed column
 schema; ``aggregate.csv`` holds the across-seed mean/std of the evaluation
-return per checkpoint.  Identical (config, master seed) produces
-byte-identical CSVs; wall-clock timing is therefore off by default and
+return per checkpoint.  Each CSV is written beside its target and moved over
+it once complete, so an interrupted write leaves the previous file.
+Identical (config, master seed) produces byte-identical CSVs; wall-clock timing is therefore off by default and
 only recorded when explicitly requested.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
+import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -149,8 +155,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A new text file beside ``path``, moved over it once the block is done.
+
+    A block that raises leaves ``path`` as it was and removes the new file,
+    so a reader of ``path`` sees the old content or the new, never a part.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    # O_EXCL never reuses a file; mode 0o666 gives what a plain open gives
+    out = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", newline="")
+    try:
+        yield out
+        out.close()
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            out.close()  # may raise too, on flushing what is buffered
+        finally:
+            os.unlink(tmp)
+        raise
+
+
 def write_seed_csv(path: Path, seed: int, record: TrainRecord) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in record.rows:
@@ -166,7 +197,7 @@ def write_aggregate_csv(path: Path, records: dict[int, TrainRecord]) -> None:
     for record in records.values():
         for row in record.rows:
             by_step.setdefault(row.step, []).append(row.eval_return_mean)
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(AGGREGATE_COLUMNS)
         for step in sorted(by_step):

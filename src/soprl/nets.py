@@ -20,6 +20,11 @@ the next cached forward of the same params object.  Uncached forwards
 leave it intact.  Outputs and input gradients (``mlp_input_grad``) are fresh
 arrays; parameter gradients (``mlp_backward_cached``, which skips the input
 gradient) are too, unless the caller passes its own buffer as ``out``.
+
+A layer product whose left operand has one column (the first layer of a
+network with one input, and every step back through a layer with one
+output) runs as a two-column matmul against a zero column, in pads kept per
+shape.  It gives the one-column matmul's bits at BLAS speed (see ``_matmul``).
 """
 
 from __future__ import annotations
@@ -142,6 +147,38 @@ def _scratch(shape: tuple[int, int], avoid: np.ndarray) -> np.ndarray:
     return pair[1] if avoid is pair[0] else pair[0]
 
 
+# zero-padded operands of one-column products, by product shape: an (rows, 2)
+# pad for ``a`` and a (2, cols) pad for ``b``, each with a view of the part
+# that is written.  They are made zeroed, only that part is ever written, and
+# their contents never outlive a call.
+_PADS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` into ``out``, or into a fresh array when ``out`` is None.
+
+    When ``a`` has one column, every element of the product is a single
+    ``a_i * b_j``, and numpy's own loop for that case runs far below BLAS
+    speed.  The operands go instead into pads whose second column (of ``a``)
+    and second row (of ``b``) are zero, and the two-column matmul runs on
+    those.  Each element is then ``a_i * b_j`` plus ``0 * 0 = +0.0``, and
+    adding +0.0 is exact, so in any order and with or without FMA it is
+    fl(a_i * b_j) with -0.0 turned into +0.0.  The one-column matmul starts
+    its sum from +0.0, which gives the same bits.
+    """
+    if a.shape[1] != 1:
+        return np.matmul(a, b, out=out)
+    shape = (a.shape[0], b.shape[1])
+    pads = _PADS.get(shape)
+    if pads is None:
+        pad_a, pad_b = np.zeros((shape[0], 2)), np.zeros((2, shape[1]))
+        pads = _PADS[shape] = (pad_a, pad_b, pad_a[:, :1], pad_b[:1])
+    pad_a, pad_b, column, row = pads
+    np.copyto(column, a)
+    np.copyto(row, b)
+    return np.matmul(pad_a, pad_b, out=out)
+
+
 def mlp_forward_cached(params: MlpParams, x: np.ndarray, *,
                        keep: bool = True) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass; the cache stays valid until the next cached forward of
@@ -153,11 +190,11 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray, *,
     hidden, h = [], x2d
     for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         buf = kept[i] if keep else _scratch((rows, w.shape[1]), h)
-        np.matmul(h, w, out=buf)
+        _matmul(h, w, buf)
         buf += b
         h = np.maximum(buf, 0.0, out=buf)
         hidden.append(h)
-    out = h @ params.weights[-1]
+    out = _matmul(h, params.weights[-1])
     out += params.biases[-1]
     return out, ForwardCache(x2d, hidden)
 
@@ -171,19 +208,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def _times_wt(upstream: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``upstream @ w.T`` into ``out``.
-
-    With one upstream column each element of the matmul is 0.0 + u_i * w_j:
-    a single product added to the zero the sum starts from, which turns a
-    -0.0 product into +0.0.  The broadcast product plus 0.0 gives the same
-    bits without the matmul's call overhead.
-    """
-    if upstream.shape[1] != 1:
-        return np.matmul(upstream, w.T, out=out)
-    np.copyto(out, w.T)
-    out *= upstream
-    out += 0.0
-    return out
+    """``upstream @ w.T`` into ``out``: the step back through a layer."""
+    return _matmul(upstream, w.T, out)
 
 
 def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
@@ -197,7 +223,7 @@ def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
             np.matmul(inp.T, upstream, out=grads.weights[i])
             np.add.reduce(upstream, axis=0, out=grads.biases[i])
         if i == 0:
-            return None if grads is not None else upstream @ params.weights[0].T
+            return None if grads is not None else _matmul(upstream, params.weights[0].T)
         h = cache.hidden[i - 1]
         buf = _times_wt(upstream, params.weights[i], _scratch(h.shape, upstream))
         buf *= h > 0.0

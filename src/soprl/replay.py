@@ -82,7 +82,10 @@ class ReplayBuffer:
         self.size = 0
 
     def push(self, t: Transition) -> int:
-        """Insert one transition, evicting the oldest when full; returns the slot."""
+        """Insert one transition, evicting the oldest when full; returns the slot.
+
+        A transition with a NaN or infinite value is refused before anything
+        is written."""
         s = np.asarray(t.state, dtype=np.float64)
         a = np.asarray(t.action, dtype=np.float64)
         s2 = np.asarray(t.next_state, dtype=np.float64)
@@ -90,11 +93,13 @@ class ReplayBuffer:
             raise ValueError(f"state dims {s.shape}/{s2.shape}, expected ({self.state_dim},)")
         if a.shape != (self.action_dim,):
             raise ValueError(f"action dim {a.shape}, expected ({self.action_dim},)")
-        slot = self.cursor
-        self.states[slot] = s
-        self.actions[slot] = a
-        self.rewards[slot] = float(t.reward)
-        self.next_states[slot] = s2
+        row = [*s.tolist(), *a.tolist(), float(t.reward), *s2.tolist()]
+        # a finite sum needs finite terms; a sum that overflows gets the exact test
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise ValueError(f"transition not finite: state {s.tolist()}, action "
+                             f"{a.tolist()}, reward {t.reward}, next state {s2.tolist()}")
+        slot = self.cursor  # written only now: when full it holds the oldest transition
+        self._rows[slot] = row
         self.dones[slot] = bool(t.done)
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)

@@ -9,8 +9,15 @@ parameter vectors and caller-owned gradient buffers; a change that alters any
 training arithmetic changes a hash.  The four ``analyze counts`` schemes are pinned
 the same way at a small size.  To re-pin after an intended change, run this
 file as a script: it prints both tables.
+
+The training table was captured under OpenBLAS's SkylakeX kernel (the
+scipy-openblas that numpy 2.4 loads picks it on AVX-512 CPUs).  Other
+kernels round the network products differently, at about 1e-16 relative,
+and change every training hash, so a failure names the kernel it ran under.
+The count curves make no matmul.
 """
 
+import ctypes
 import hashlib
 import os
 import sys
@@ -74,6 +81,21 @@ COUNTS_GOLDEN = {
 }
 
 
+def blas_kernel() -> str:
+    """The kernel name of the OpenBLAS that numpy loaded, or ``unknown``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "libscipy_openblas64_" in line})
+    except OSError:
+        return "unknown"
+    for lib in libs:
+        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def csv_sha256(overrides: dict, out) -> str:
     """sha256 over every CSV the run writes, in name order, name included."""
     run_experiment(parse_config({**overrides, "out": str(out)}))
@@ -85,7 +107,9 @@ def csv_sha256(overrides: dict, out) -> str:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_bytes_match_golden(name, tmp_path):
-    assert csv_sha256(CONFIGS[name], tmp_path / "out") == GOLDEN[name]
+    assert csv_sha256(CONFIGS[name], tmp_path / "out") == GOLDEN[name], (
+        f"CSV bytes of {name} changed; the table was captured under OpenBLAS's "
+        f"SkylakeX kernel, and this run used {blas_kernel()}")
 
 
 def counts_csv(scheme: str, out=None) -> None:

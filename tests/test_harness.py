@@ -1,4 +1,6 @@
 import csv
+import errno
+import os
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +171,32 @@ class TestRunExperiment:
         with open(tmp_path / "seed_1.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(float(r["wall_ms"]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("target", ["seed_1.csv", "aggregate.csv"])
+    def test_csv_write_failing_midway_keeps_the_previous_file(self, target, tmp_path,
+                                                              monkeypatch):
+        import soprl.harness as H
+
+        summary = run_experiment(parse_config(tiny_overrides(out=str(tmp_path))))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["aggregate.csv", "seed_1.csv"]  # no temp file left
+        fmt, calls = H._fmt, []
+
+        def fail_midway(value):
+            calls.append(value)
+            if len(calls) == 3:  # past the header and into the rows
+                assert [p.name for p in tmp_path.iterdir() if p.name not in before] == [
+                    f".{target}.{os.getpid()}.tmp"]
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return fmt(value)
+
+        monkeypatch.setattr(H, "_fmt", fail_midway)
+        with pytest.raises(OSError, match="No space left"):
+            if target == "seed_1.csv":
+                H.write_seed_csv(tmp_path / target, 1, summary.records[1])
+            else:
+                H.write_aggregate_csv(tmp_path / target, summary.records)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_failing_seed_isolated(self, tmp_path, monkeypatch):
         import soprl.harness as H

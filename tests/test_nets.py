@@ -417,3 +417,49 @@ def test_one_wide_output_backward_is_bitwise_the_matmul(rows, hidden, din, seed)
     ref_flat, ref_input = matmul_backward(params, cache, g)
     assert same_bits(nets.mlp_backward_cached(params, cache, g).flat, ref_flat)
     assert same_bits(nets.mlp_input_grad(params, cache, g), ref_input)
+
+
+def matmul_forward(params, x):
+    """Reference forward pass with every layer a plain ``np.matmul``."""
+    hidden, h = [], x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.maximum(np.matmul(h, w) + b, 0.0)
+        hidden.append(h)
+    return np.matmul(h, params.weights[-1]) + params.biases[-1], hidden
+
+
+def with_nonfinite(rng, x, values, share=0.1):
+    """``x`` with a share of its entries drawn from ``values``."""
+    x = x.copy()
+    hit = rng.random(x.shape) < share
+    x[hit] = rng.choice(values, size=int(hit.sum()))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_one_column_forward_is_bitwise_the_matmul(hidden, dout, nonfinite, seed):
+    # fan_in 1 puts the first layer on the zero-padded path, and hidden 1 the
+    # inner layers too; 1, 256 and 1 rows again reuse the pads across calls.
+    # A stray term in a pad's zero column or row adds only a signed zero to a
+    # finite product, which a sum that starts from +0.0 hides; an inf operand
+    # turns it into NaN.  NaN enters only through x, so that no product has
+    # two NaN operands and every NaN payload is defined.
+    rng = np.random.default_rng(seed)
+    params = nets.init_mlp(1, hidden, dout, rng)
+    params.flat[:] = wide_floats(rng, params.flat.shape)
+    if nonfinite:
+        for w in params.weights:
+            w[...] = with_nonfinite(rng, w, [np.inf, -np.inf])
+    for rows in (1, 256, 1):
+        x = wide_floats(rng, (rows, 1))
+        if nonfinite:
+            x = with_nonfinite(rng, x, [np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+            ref_out, ref_hidden = matmul_forward(params, x)
+            out, cache = nets.mlp_forward_cached(params, x)
+            uncached = nets.mlp_forward(params, x)
+        assert same_bits(out, ref_out)
+        assert len(cache.hidden) == len(ref_hidden)
+        assert all(same_bits(h, r) for h, r in zip(cache.hidden, ref_hidden))
+        assert same_bits(uncached, ref_out)

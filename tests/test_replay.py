@@ -17,6 +17,10 @@ def trans(i, state_dim=1, action_dim=1):
                       float(i), np.full(state_dim, float(i) + 0.5), False)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def fill(buffer, n):
     for i in range(n):
         buffer.push(trans(i))
@@ -110,6 +114,39 @@ class TestBuffer:
         buf = ReplayBuffer(4, 2, 1)
         with pytest.raises(ValueError):
             buf.push(trans(0, state_dim=1))
+
+    @pytest.mark.parametrize("pushed", [0, 2, 3, 5], ids=lambda n: f"pushed{n}")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field,at", [("state", 0), ("state", 1), ("action", 0),
+                                          ("action", 1), ("reward", None),
+                                          ("next_state", 0), ("next_state", 1)])
+    def test_non_finite_transition_refused_before_any_write(self, pushed, bad, field, at):
+        # capacity 3: empty, partly full, just full and wrapped; when full the
+        # slot at the cursor holds the oldest transition
+        buf = ReplayBuffer(3, 2, 2)
+        for i in range(pushed):
+            buf.push(Transition(np.full(2, i + 0.25), np.full(2, -i - 0.5), float(i),
+                                np.full(2, i + 0.75), i % 2 == 0))
+        fields = {"state": np.ones(2), "action": np.ones(2), "reward": 1.0,
+                  "next_state": np.ones(2)}
+        if at is None:
+            fields[field] = bad
+        else:
+            fields[field][at] = bad
+        before = buf._rows.copy(), buf.dones.copy(), buf.cursor, buf.size
+        with pytest.raises(ValueError, match="not finite"):
+            buf.push(Transition(**fields, done=True))
+        assert same_bits(buf._rows, before[0]) and np.array_equal(buf.dones, before[1])
+        assert (buf.cursor, buf.size) == before[2:]
+
+    def test_finite_extremes_are_kept(self):
+        # a row whose sum overflows, subnormals and signed zeros are all finite
+        buf = ReplayBuffer(2, 2, 1)
+        t = Transition(np.array([1.7e308, 1.7e308]), np.array([-0.0]), 5e-324,
+                       np.array([-1.7e308, 0.0]), False)
+        slot = buf.push(t)
+        assert same_bits(buf._rows[slot], np.array([1.7e308, 1.7e308, -0.0, 5e-324,
+                                                    -1.7e308, 0.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=60),
