@@ -4,8 +4,9 @@ Per-seed learning curves land in ``seed_<s>.csv`` with a fixed column
 schema; ``aggregate.csv`` holds the across-seed mean/std of the evaluation
 return per checkpoint.  Each CSV is written beside its target and moved over
 it once complete, so an interrupted write leaves the previous file.
-Identical (config, master seed) produces byte-identical CSVs; wall-clock timing is therefore off by default and
-only recorded when explicitly requested.
+Identical (config, master seed) produces byte-identical CSVs; wall-clock
+timing is therefore off by default and only recorded when explicitly
+requested.
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ def blas_kernel() -> str:
     for lib in libs:
         corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
         if corename is not None:
-            corename.restype = ctypes.c_char_p
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
             return corename().decode()
     return "unknown"
 
