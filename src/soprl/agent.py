@@ -20,11 +20,11 @@ from . import nets, replay
 from .actions import (ActionBounds, InvertingGradientsHead, TanhHead,
                       saturation_fraction)
 from .envs import ToyEnv
-from .replay import EreConfig, PerfTracker, ReplayBuffer, SumTree, Transition
+from .replay import EreConfig, ReplayBuffer, Transition
 from .seeds import derive_seed, make_rng
 
 VARIANTS = ("sop", "sop_ig", "no_norm", "single_q", "no_smoothing")
-SAMPLERS = ("uniform", "ere", "per", "exp")
+SAMPLERS = tuple(replay.SAMPLER_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -313,14 +313,8 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
                      derive_seed(seed, "agent"))
     eval_env = env.clone()
     buffer = ReplayBuffer(cfg.buffer_capacity, spec.state_dim, spec.action_dim)
-    tracker = PerfTracker()
-    ere_cfg = cfg.ere_config()
-    tree = None
-    if cfg.sampler == "per":
-        tree = SumTree(cfg.buffer_capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2,
-                       priority_floor=cfg.per_priority_floor)
+    sampler = replay.SAMPLER_CLASSES[cfg.sampler](cfg, buffer)
     record = TrainRecord()
-    eta = cfg.eta0
     t_start = time.perf_counter()
     next_eval = eval_interval
     episode_idx = 0
@@ -338,36 +332,18 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
             else:
                 a = agent.act(s, mode="explore")
             s2, r, done = env.step(a)
-            slot = buffer.push(Transition(s, a, r, s2, done))
-            if tree is not None:
-                tree.set_raw(np.array([slot]), np.array([tree.max_raw_priority]))
+            sampler.pushed(buffer.push(Transition(s, a, r, s2, done)))
             s = s2
             ep_return += r
             ep_len += 1
             env_steps += 1
-        tracker.update(env_steps, ep_return, cfg.buffer_capacity)
-        if cfg.sampler == "ere":
-            eta = replay.adapt_eta(ere_cfg, tracker)
+        sampler.episode_done(env_steps, ep_return)
         if env_steps > cfg.warmup_steps:
             for k in range(1, ep_len + 1):
-                if cfg.sampler == "uniform":
-                    slots = replay.sample_uniform(buffer, cfg.batch_size, agent.rng_sampler)
-                elif cfg.sampler == "ere":
-                    slots = replay.sample_ere(buffer, k, ep_len, ere_cfg, eta,
-                                              cfg.batch_size, agent.rng_sampler)
-                elif cfg.sampler == "exp":
-                    slots = replay.sample_exponential(buffer, cfg.exp_lambda,
-                                                      cfg.batch_size, agent.rng_sampler)
-                if tree is None:
-                    batch, weights = buffer.gather(slots), None
-                else:
-                    batch, slots, weights = replay.per_sample(
-                        tree, buffer, cfg.batch_size, agent.rng_sampler,
-                        cfg.per_normalize_weights)
+                batch, slots, weights = sampler.draw(k, ep_len, agent.rng_sampler)
                 targets = agent.compute_q_targets(batch)
                 _, td = agent.q_update(batch, targets, weights)
-                if tree is not None:
-                    replay.per_update_priorities(tree, slots, td)
+                sampler.learned(slots, td)
                 agent.policy_update(batch)
                 soft_update_targets(agent, cfg.tau)
         if env_steps >= next_eval:
@@ -376,7 +352,7 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
             entropy, sat, pre, post = _diagnostics(agent, diag, env_steps, seed)
             wall = (time.perf_counter() - t_start) * 1000.0 if record_walltime else 0.0
             record.rows.append(EvalRow(env_steps, mean, std, entropy, sat, pre, post,
-                                       eta if cfg.sampler == "ere" else None, wall))
+                                       sampler.eta, wall))
             next_eval = (env_steps // eval_interval + 1) * eval_interval
     return record, agent
 

@@ -207,11 +207,6 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return y[0] if squeeze else y
 
 
-def _times_wt(upstream: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``upstream @ w.T`` into ``out``: the step back through a layer."""
-    return _matmul(upstream, w.T, out)
-
-
 def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
               grads: MlpParams | None) -> np.ndarray | None:
     """Carry ``upstream`` back from the output: into the parameter gradients
@@ -225,7 +220,7 @@ def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
         if i == 0:
             return None if grads is not None else _matmul(upstream, params.weights[0].T)
         h = cache.hidden[i - 1]
-        buf = _times_wt(upstream, params.weights[i], _scratch(h.shape, upstream))
+        buf = _matmul(upstream, params.weights[i].T, _scratch(h.shape, upstream))
         buf *= h > 0.0
         upstream = buf
 

@@ -450,3 +450,71 @@ def adapt_eta(cfg: EreConfig, tracker: PerfTracker) -> float:
         return cfg.eta0
     r = min(max(tracker.i_recent / tracker.i_max, 0.0), 1.0)
     return cfg.eta0 * r + (1.0 - r)
+
+
+class Sampler:
+    """Uniform replay, and the hooks ``train()`` calls on every scheme.  Each
+    hook calls its scheme's functions by their names in this module, so
+    patching one of them here reaches ``train()``."""
+
+    eta: float | None = None  # ERE's current eta, for the learning record
+
+    def __init__(self, cfg, buffer: ReplayBuffer):
+        self.cfg = cfg
+        self.buffer = buffer
+        self.tracker = PerfTracker()
+
+    def pushed(self, slot: int) -> None:
+        pass
+
+    def episode_done(self, env_steps: int, ep_return: float) -> None:
+        self.tracker.update(env_steps, ep_return, self.cfg.buffer_capacity)
+
+    def draw(self, k: int, ep_len: int, rng: np.random.Generator) -> tuple:
+        slots = self._slots(k, ep_len, rng)
+        return self.buffer.gather(slots), slots, None
+
+    def _slots(self, k: int, ep_len: int, rng: np.random.Generator) -> np.ndarray:
+        return sample_uniform(self.buffer, self.cfg.batch_size, rng)
+
+    def learned(self, slots: np.ndarray, td: np.ndarray) -> None:
+        pass
+
+
+class EreSampler(Sampler):
+    def __init__(self, cfg, buffer: ReplayBuffer):
+        super().__init__(cfg, buffer)
+        self.ere = cfg.ere_config()
+        self.eta = self.ere.eta0
+
+    def episode_done(self, env_steps: int, ep_return: float) -> None:
+        super().episode_done(env_steps, ep_return)
+        self.eta = adapt_eta(self.ere, self.tracker)
+
+    def _slots(self, k: int, ep_len: int, rng: np.random.Generator) -> np.ndarray:
+        return sample_ere(self.buffer, k, ep_len, self.ere, self.eta, self.cfg.batch_size, rng)
+
+
+class ExpSampler(Sampler):
+    def _slots(self, k: int, ep_len: int, rng: np.random.Generator) -> np.ndarray:
+        return sample_exponential(self.buffer, self.cfg.exp_lambda, self.cfg.batch_size, rng)
+
+
+class PerSampler(Sampler):
+    def __init__(self, cfg, buffer: ReplayBuffer):
+        super().__init__(cfg, buffer)
+        self.tree = SumTree(buffer.capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2,
+                            priority_floor=cfg.per_priority_floor)
+
+    def pushed(self, slot: int) -> None:  # a new slot gets the largest priority yet
+        self.tree.set_raw(np.array([slot]), np.array([self.tree.max_raw_priority]))
+
+    def draw(self, k: int, ep_len: int, rng: np.random.Generator) -> tuple:
+        return per_sample(self.tree, self.buffer, self.cfg.batch_size, rng,
+                          self.cfg.per_normalize_weights)
+
+    def learned(self, slots: np.ndarray, td: np.ndarray) -> None:
+        per_update_priorities(self.tree, slots, td)
+
+
+SAMPLER_CLASSES = {"uniform": Sampler, "ere": EreSampler, "per": PerSampler, "exp": ExpSampler}

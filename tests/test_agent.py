@@ -7,7 +7,8 @@ import pytest
 import soprl.replay
 from soprl import nets
 from soprl.actions import ActionBounds
-from soprl.agent import VARIANTS, AgentConfig, SopAgent, soft_update_targets, train
+from soprl.agent import (SAMPLERS, VARIANTS, AgentConfig, SopAgent, soft_update_targets,
+                         train)
 from soprl.envs import PointMass1D, make_env
 
 
@@ -447,25 +448,27 @@ class TestTrain:
         assert agent.critics[0].adam.t == 0
         assert len(record.rows) == 2
 
-    def test_ere_requested_windows_nonincreasing(self, monkeypatch):
-        seen = []
-        orig = soprl.replay.sample_ere
+    @pytest.mark.parametrize("sampler, owner, name", [
+        ("uniform", soprl.replay, "sample_uniform"), ("ere", soprl.replay, "sample_ere"),
+        ("exp", soprl.replay, "sample_exponential"), ("per", soprl.replay, "per_sample"),
+        ("per", soprl.replay, "per_update_priorities"),
+        *[(s, soprl.replay.PerfTracker, "update") for s in SAMPLERS]])
+    def test_replay_patched_in_its_module_sees_every_call(self, sampler, owner, name,
+                                                          monkeypatch):
+        # perfbench checks and times these through their module attributes
+        calls = []
+        orig = getattr(owner, name)
 
-        def spy(buffer, k, k_upd, cfg, eta, batch, rng):
-            seen.append((k, soprl.replay.ere_range(k, k_upd, buffer.capacity, cfg,
-                                                   eta, batch)))
-            return orig(buffer, k, k_upd, cfg, eta, batch, rng)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
 
-        monkeypatch.setattr(soprl.replay, "sample_ere", spy)
-        env = make_env("pointmass1d")
-        train(env, desk_cfg(sampler="ere"), 200, seed=3, eval_interval=100)
-        assert seen
-        phases = {}
-        for k, window in seen:
-            phases.setdefault(k, window)
-        ks = sorted(phases)
-        windows = [phases[k] for k in ks]
-        assert all(a >= b for a, b in zip(windows, windows[1:]))
+        monkeypatch.setattr(owner, name, spy)
+        _, agent = train(make_env("pointmass1d"), desk_cfg(sampler=sampler), 200, seed=3,
+                         eval_interval=100)
+        episodes, updates = 200 // 50, agent.critics[0].adam.t
+        assert updates == 150  # the three episodes after the warmup episode
+        assert len(calls) == (episodes if owner is soprl.replay.PerfTracker else updates)
 
     def test_per_and_exp_samplers_run(self):
         for sampler in ("per", "exp"):

@@ -8,19 +8,25 @@ captured before the network engine moved to reused activation buffers, flat
 parameter vectors and caller-owned gradient buffers; a change that alters any
 training arithmetic changes a hash.  The four ``analyze counts`` schemes are pinned
 the same way at a small size.  To re-pin after an intended change, run this
-file as a script: it prints both tables.
+file as a script: it prints the training table of the kernel it runs
+under, then the count table.
 
-The training table was captured under OpenBLAS's SkylakeX kernel (the
-scipy-openblas that numpy 2.4 loads picks it on AVX-512 CPUs).  Other
-kernels round the network products differently, at about 1e-16 relative,
-and change every training hash, so a failure names the kernel it ran under.
+OpenBLAS kernels round the network products differently, at about 1e-16
+relative, and each changes every training hash, so there is one training
+table per kernel, chosen by the kernel numpy loaded (``blas_kernel``).
+``GOLDEN`` was captured under SkylakeX (the scipy-openblas that numpy 2.4
+loads picks it on AVX-512 CPUs), ``GOLDEN_HASWELL`` under Haswell (most
+AVX2 CPUs).  To add the table of another kernel, which is not a re-pin,
+run ``OPENBLAS_CORETYPE=<kernel> PYTHONPATH=src python tests/test_golden.py``.
 The count curves make no matmul.
 """
 
 import ctypes
 import hashlib
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
@@ -71,6 +77,35 @@ GOLDEN = {
     "sop_ig-uniform": "ffe1ec59069151be58f6b9be63ebeba34172c078584efc4e56b47f38942385a3",
 }
 
+GOLDEN_HASWELL = {
+    "desk-sop-ere": "51af07f1b837163bff409ca334da57f2e07b1a73046ab8ba713a60dc5a025028",
+    "desk-sop_ig-per": "1c3ef4c26e1d594d685cab9b1d3cf1b28e654ff6047b592e6bf7fd259f9f8540",
+    "lure-sop-ere": "d0b3656633566bdb1032704403c0c27cb37d8c9aa887064fce2b3b7d2836f0de",
+    "no_norm-ere": "963108640de0d15183fc4d15644075c4d7213e19f686f0f4fb07711fc0779650",
+    "no_norm-exp": "62946c6b8f995ddc3e5f379e21c301d18aaebc84cdccfdded0e2fa692d020f9d",
+    "no_norm-per": "c72bddf9b5af478e6cf0cb761183cbbe9f02fbdf0e98d28afc8280811b53b27c",
+    "no_norm-uniform": "8d3a8748293e20a8e09d2e349ae2b51a859e895252d8aba85f62feeb85f6bd48",
+    "no_smoothing-ere": "c588022b7db85481d819c732ba277d70ee123511ffd123b4f3b8f50abb20e4c2",
+    "no_smoothing-exp": "aa59e0984b6a93fed46e1cc304d89cb00a7df83796cea19f062b0ea15625579b",
+    "no_smoothing-per": "bf89db676122d580754808111c8b4e34926b083e65710d08a4dcbe836083a3fa",
+    "no_smoothing-uniform": "87371367d6bbbf0a4e76dd3f24fd9a9dd59dc5c842aa6ca944eaff99ebfb9732",
+    "single_q-ere": "214040e8db1e7a56bac3014ab02561e89467d64a70e460d537f46af2d0a99cf1",
+    "single_q-exp": "95a94a65827f056d38c613dd730fbb7268968a26506d63082f1feaacc97efd63",
+    "single_q-per": "fe4a03a922316c4efc45f2e288dede830992cb92d927dcc7bdea5cd480942f7c",
+    "single_q-uniform": "da13d017882cef8ac5cd58fa4910d6c08f650d71698042f50068614baee1a1df",
+    "sop-ere": "bf622dc6dc2d293058e7397271173d0e660af79000895c3ea5940f1aca5883ad",
+    "sop-exp": "666ccebac91e214df13f5157259259ae323fa089c9830d2d3298ef6ee8b42da0",
+    "sop-per": "d15974619e71e2c91ab092a863f7096d28056f165f612a99b920cbae38ca268c",
+    "sop-uniform": "534c2432e68dd730a74833938d23e3c2cb9aca1f8fcbb64941538a9485178a8b",
+    "sop_ig-ere": "df925307db5bbf357782bed528dfbabfddb7362f27fca624cb2ff1cef51e9aea",
+    "sop_ig-exp": "4d91e424e0094a53e2c82a288ed17f3fd13c52bd3d5c6ed7a930a49644f9d552",
+    "sop_ig-per": "b1319cbe57358a4fec99376a4319a04705b07bbcdb95134ec78e91f813e37274",
+    "sop_ig-uniform": "39555e586fbb9723c9a0ad9f0d20a167ef6f17866feeca044a4c1890b19c6f3e",
+}
+
+TRAINING_TABLES = {"SkylakeX": GOLDEN, "Haswell": GOLDEN_HASWELL}
+CAPTURE = "OPENBLAS_CORETYPE={} PYTHONPATH=src python tests/test_golden.py"
+
 COUNTS_ARGV = ["--buffer", "300", "--updates", "200", "--trials", "500", "--seed", "1"]
 
 COUNTS_GOLDEN = {
@@ -107,9 +142,26 @@ def csv_sha256(overrides: dict, out) -> str:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_bytes_match_golden(name, tmp_path):
-    assert csv_sha256(CONFIGS[name], tmp_path / "out") == GOLDEN[name], (
-        f"CSV bytes of {name} changed; the table was captured under OpenBLAS's "
-        f"SkylakeX kernel, and this run used {blas_kernel()}")
+    kernel = blas_kernel()
+    assert kernel in TRAINING_TABLES, (
+        f"no golden table for OpenBLAS's {kernel} kernel; capture one with "
+        f"`{CAPTURE.format(kernel)}` from a commit whose bytes are known good")
+    assert csv_sha256(CONFIGS[name], tmp_path / "out") == TRAINING_TABLES[kernel][name], (
+        f"CSV bytes of {name} changed under OpenBLAS's {kernel} kernel")
+
+
+def test_haswell_table_holds_under_the_haswell_kernel():
+    """The training goldens, run in a subprocess with the Haswell kernel
+    forced, keep the second table honest on a machine that picks another."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          f"{__file__}::test_csv_bytes_match_golden"],
+                         cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    assert f"{len(CONFIGS)} passed" in run.stdout
 
 
 def counts_csv(scheme: str, out=None) -> None:
@@ -128,8 +180,8 @@ def test_counts_csv_bytes_match_golden(scheme, tmp_path, capsys):
 
 if __name__ == "__main__":
     import tempfile
-    from pathlib import Path
     with tempfile.TemporaryDirectory() as tmp:
+        sys.stderr.write(f"training table of OpenBLAS's {blas_kernel()} kernel\n")
         for name in sorted(CONFIGS):
             sys.stdout.write(f'    "{name}": "{csv_sha256(CONFIGS[name], Path(tmp) / name)}",\n')
         for scheme in sorted(SCHEMES):

@@ -404,15 +404,15 @@ def matmul_backward(params, cache, upstream):
 @given(st.integers(1, 300), st.integers(1, 64), st.integers(1, 4),
        st.integers(0, 2 ** 31 - 1))
 def test_one_wide_output_backward_is_bitwise_the_matmul(rows, hidden, din, seed):
-    # the step back through a 1-wide output layer is a broadcast product;
-    # every gradient, signed zeros included, must equal the matmul's bits
+    # the step back through a 1-wide output layer is a padded two-column
+    # matmul; every gradient, signed zeros included, must equal the matmul's bits
     rng = np.random.default_rng(seed)
     params = nets.init_mlp(din, hidden, 1, rng)
     params.weights[-1][...] = wide_floats(rng, params.weights[-1].shape)
     _, cache = nets.mlp_forward_cached(params, rng.standard_normal((rows, din)))
     g = wide_floats(rng, (rows, 1))
     w = params.weights[-1]
-    step = nets._times_wt(g, w, np.full((rows, hidden), np.nan))
+    step = nets._matmul(g, w.T, np.full((rows, hidden), np.nan))
     assert same_bits(step, np.matmul(g, w.T))
     ref_flat, ref_input = matmul_backward(params, cache, g)
     assert same_bits(nets.mlp_backward_cached(params, cache, g).flat, ref_flat)

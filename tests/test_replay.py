@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soprl.replay import (EXP_SEGMENT, EreConfig, PerfTracker, ReplayBuffer,
-                          SumTree, Transition, _segment_cdf, adapt_eta, ere_range,
-                          exponential_segment_masses, per_sample,
+from soprl.agent import AgentConfig
+from soprl.replay import (EXP_SEGMENT, SAMPLER_CLASSES, EreConfig, PerfTracker,
+                          ReplayBuffer, SumTree, Transition, _segment_cdf, adapt_eta,
+                          ere_range, exponential_segment_masses, per_sample,
                           per_update_priorities, sample_ere,
                           sample_exponential, sample_uniform)
 
@@ -897,3 +898,105 @@ class TestTrackerAndAdaptiveEta:
         tr.i_recent, tr.i_max = i_recent, i_max
         eta = adapt_eta(cfg, tr)
         assert eta0 - 1e-12 <= eta <= 1.0 + 1e-12
+
+
+# (length, return) per episode; the 300-step one wraps the 250-slot ring, and
+# the returns take ERE's eta from eta0 = 0.9 to 0.9375 and then 1.0
+EPISODES = [(40, -5.0), (60, -4.0), (300, -1.0), (30, -3.0), (50, 0.5), (40, 2.0),
+            (30, 1.0), (70, 3.0), (30, -2.0)]
+
+
+def replay_cfg(sampler):
+    return AgentConfig(sampler=sampler, buffer_capacity=250, batch_size=8, eta0=0.9,
+                       exp_lambda=0.01)
+
+
+def fake_td(batch, k):
+    """|TD| errors that vary with the batch and the update, without an agent;
+    some exceed 1, the priority a new slot gets before any write."""
+    return 2.0 * np.abs(np.sin(batch["rewards"] + 0.1 * k))
+
+
+def replay_by_hand(cfg, rng):
+    """The oracle: the sampler functions called one by one, in the order
+    train() called them before the sampler objects."""
+    buffer = ReplayBuffer(cfg.buffer_capacity, 1, 1)
+    tracker = PerfTracker()
+    ere_cfg = cfg.ere_config()
+    tree = None
+    if cfg.sampler == "per":
+        tree = SumTree(cfg.buffer_capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2,
+                       priority_floor=cfg.per_priority_floor)
+    eta = cfg.eta0
+    draws, etas, steps = [], [], 0
+    for ep_len, ep_return in EPISODES:
+        for _ in range(ep_len):
+            slot = buffer.push(trans(steps))
+            if tree is not None:
+                tree.set_raw(np.array([slot]), np.array([tree.max_raw_priority]))
+            steps += 1
+        tracker.update(steps, ep_return, cfg.buffer_capacity)
+        if cfg.sampler == "ere":
+            eta = adapt_eta(ere_cfg, tracker)
+        for k in range(1, ep_len + 1):
+            if cfg.sampler == "uniform":
+                slots = sample_uniform(buffer, cfg.batch_size, rng)
+            elif cfg.sampler == "ere":
+                slots = sample_ere(buffer, k, ep_len, ere_cfg, eta, cfg.batch_size, rng)
+            elif cfg.sampler == "exp":
+                slots = sample_exponential(buffer, cfg.exp_lambda, cfg.batch_size, rng)
+            if tree is None:
+                batch, weights = buffer.gather(slots), None
+            else:
+                batch, slots, weights = per_sample(tree, buffer, cfg.batch_size, rng,
+                                                   cfg.per_normalize_weights)
+            if tree is not None:
+                per_update_priorities(tree, slots, fake_td(batch, k))
+            draws.append((batch, slots, weights))
+        etas.append(eta if cfg.sampler == "ere" else None)
+    return draws, etas, tree, buffer
+
+
+def replay_by_object(cfg, rng):
+    buffer = ReplayBuffer(cfg.buffer_capacity, 1, 1)
+    sampler = SAMPLER_CLASSES[cfg.sampler](cfg, buffer)
+    draws, etas, steps = [], [], 0
+    for ep_len, ep_return in EPISODES:
+        for _ in range(ep_len):
+            sampler.pushed(buffer.push(trans(steps)))
+            steps += 1
+        sampler.episode_done(steps, ep_return)
+        for k in range(1, ep_len + 1):
+            batch, slots, weights = sampler.draw(k, ep_len, rng)
+            sampler.learned(slots, fake_td(batch, k))
+            draws.append((batch, slots, weights))
+        etas.append(sampler.eta)
+    return draws, etas, getattr(sampler, "tree", None), buffer
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("sampler", list(SAMPLER_CLASSES))
+def test_sampler_object_replays_the_functions_bit_for_bit(sampler):
+    cfg = replay_cfg(sampler)
+    rng_hand, rng_obj = np.random.default_rng(17), np.random.default_rng(17)
+    hand, hand_etas, hand_tree, hand_buffer = replay_by_hand(cfg, rng_hand)
+    obj, obj_etas, obj_tree, obj_buffer = replay_by_object(cfg, rng_obj)
+    assert hand_buffer.cursor == obj_buffer.cursor != sum(n for n, _ in EPISODES)
+    assert len(hand) == len(obj) == sum(n for n, _ in EPISODES)
+    for (batch_h, slots_h, w_h), (batch_o, slots_o, w_o) in zip(hand, obj):
+        assert same_array(slots_h, slots_o)
+        assert batch_h.keys() == batch_o.keys()
+        assert all(same_array(batch_h[key], batch_o[key]) for key in batch_h)
+        assert (w_h is None) == (w_o is None) == (sampler != "per")
+        assert w_h is None or same_array(w_h, w_o)
+    assert hand_etas == obj_etas
+    if sampler == "ere":
+        assert set(obj_etas) == {0.9, 0.9375, 1.0}
+    assert (hand_tree is None) == (obj_tree is None) == (sampler != "per")
+    if obj_tree is not None:
+        assert same_array(hand_tree.nodes, obj_tree.nodes)
+        assert hand_tree.max_raw_priority == obj_tree.max_raw_priority > 1.0
+    assert rng_hand.bit_generator.state == rng_obj.bit_generator.state
