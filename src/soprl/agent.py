@@ -77,22 +77,6 @@ class AgentConfig:
         return self.variant != "no_smoothing"
 
 
-@dataclass
-class TrainedNet:
-    """One trained network: its parameters, its Polyak target if it has one,
-    and the gradient buffer (overwritten by each backward pass) and Adam
-    moments of its updates."""
-
-    params: nets.MlpParams
-    target: nets.MlpParams | None = None
-    grads: nets.MlpParams = field(init=False, repr=False)
-    adam: nets.AdamState = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.grads = nets.zeros_like_params(self.params)
-        self.adam = nets.AdamState.for_params(self.params)
-
-
 def _mean(x: np.ndarray) -> float:
     """``float(np.mean(x))`` bit for bit: the same ``np.add.reduce`` sum over
     the same count, without np.mean's wrapper."""
@@ -125,11 +109,11 @@ class SopAgent:
         self.rng_sampler = make_rng(seed, "sampler")
         self.rng_warmup = make_rng(seed, "warmup")
         # drawn in the order policy, q1, q2: single_q skips only the last draw
-        self.policy = TrainedNet(nets.init_mlp(state_dim, cfg.hidden_dim, action_dim,
-                                               rng_init))
+        self.policy = nets.TrainedNet(nets.init_mlp(state_dim, cfg.hidden_dim,
+                                                    action_dim, rng_init))
         qs = [nets.init_mlp(state_dim + action_dim, cfg.hidden_dim, 1, rng_init)
               for _ in range(1 if cfg.variant == "single_q" else 2)]
-        self.critics = tuple(TrainedNet(q, q.copy()) for q in qs)
+        self.critics = tuple(nets.TrainedNet(q, q.copy()) for q in qs)
         self.head = (InvertingGradientsHead(bounds) if cfg.variant == "sop_ig"
                      else TanhHead(bounds, normalize=cfg.variant != "no_norm"))
 
@@ -194,7 +178,7 @@ class SopAgent:
             total_loss += loss
             grad_out = (two_w * err / n)[:, None]
             nets.mlp_backward_cached(critic.params, cache, grad_out, out=critic.grads)
-            nets.adam_step(critic.adam, critic.params, critic.grads, cfg.lr)
+            nets.adam_step(critic, cfg.lr)
         td = 0.5 * (abs_errs[0] + abs_errs[1]) if len(abs_errs) == 2 else abs_errs[0]
         return total_loss / len(self.critics), td
 
@@ -231,7 +215,7 @@ class SopAgent:
         policy = self.policy
         objective, grads = self.policy_objective_and_grads(batch, out=policy.grads)
         np.negative(grads.flat, out=grads.flat)  # adam minimizes; flip to ascend
-        nets.adam_step(policy.adam, policy.params, grads, self.cfg.lr)
+        nets.adam_step(policy, self.cfg.lr)
         return objective
 
 

@@ -167,12 +167,15 @@ class DpResult:
         return float(sum(np.interp(xi, self.state_grid, self.v0) for xi in x))
 
 
-def _dp_pointmass_axis(horizon: int, reward_scale: float, state_res: int,
+def _dp_pointmass_axis(spec: EnvSpec, state_res: int,
                        action_res: int) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of a point-mass task, whose reward is that axis's share of
+    the mean over ``spec.state_dim`` axes."""
     grid = np.linspace(-1.0, 1.0, state_res)
-    acts = np.linspace(-0.1, 0.1, action_res)
+    acts = np.linspace(spec.bounds.low[0], spec.bounds.high[0], action_res)
+    reward_scale = 1.0 / spec.state_dim
     v = np.zeros(state_res)
-    for _ in range(horizon):
+    for _ in range(spec.horizon):
         nxt = np.clip(grid[:, None] + acts[None, :], -1.0, 1.0)
         reward = -reward_scale * nxt ** 2
         future = np.interp(nxt.ravel(), grid, v).reshape(nxt.shape)
@@ -186,26 +189,23 @@ def dp_oracle(env: ToyEnv | str, state_res: int = 513, action_res: int = 129) ->
     The mean return averages the start-state value over the environment's
     initial distribution (uniform on the state box for the point-mass
     tasks, the fixed start for the lure task).  Odd resolutions put the
-    origin and the zero action exactly on the grids.
+    origin and the zero action exactly on the grids.  Horizons, bounds and
+    reward scales come from the environment's spec.
     """
     if state_res < 32 or action_res < 32:
         raise ValueError("grid resolutions must be at least 32")
-    name = env if isinstance(env, str) else env.spec.name
-    if name == "pointmass1d":
-        grid, v = _dp_pointmass_axis(50, 1.0, state_res, action_res)
-        return DpResult(grid, v, float(np.trapezoid(v, grid) / 2.0))
-    if name == "pointmass2d":
-        grid, v = _dp_pointmass_axis(100, 0.5, state_res, action_res)
-        return DpResult(grid, v, float(2.0 * np.trapezoid(v, grid) / 2.0))
-    if name == "boundarylure":
-        env_obj = make_env("boundarylure")
-        acts = np.linspace(env_obj.spec.bounds.low[0], env_obj.spec.bounds.high[0],
-                           action_res)
+    env = make_env(env) if isinstance(env, str) else env
+    spec = env.spec
+    if spec.name in ("pointmass1d", "pointmass2d"):
+        grid, v = _dp_pointmass_axis(spec, state_res, action_res)
+        return DpResult(grid, v, float(spec.state_dim * np.trapezoid(v, grid) / 2.0))
+    if spec.name == "boundarylure":
+        acts = np.linspace(spec.bounds.low[0], spec.bounds.high[0], action_res)
         total = 0.0
-        for t in range(env_obj.spec.horizon):
-            rewards = [env_obj._transition(np.array([t / env_obj.spec.horizon]),
-                                           np.array([a]), t)[1] for a in acts]
+        for t in range(spec.horizon):
+            rewards = [env._transition(np.array([t / spec.horizon]), np.array([a]), t)[1]
+                       for a in acts]
             total += max(rewards)
         grid = np.array([0.0, 1.0])
         return DpResult(grid, np.array([total, total]), total)
-    raise ValueError(f"no oracle for env '{name}'")
+    raise ValueError(f"no oracle for env '{spec.name}'")

@@ -186,11 +186,8 @@ def write_seed_csv(path: Path, seed: int, record: TrainRecord) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in record.rows:
-            writer.writerow([row.step, seed, _fmt(row.eval_return_mean),
-                             _fmt(row.eval_return_std), _fmt(row.entropy_estimate),
-                             _fmt(row.saturation_fraction),
-                             _fmt(row.mean_abs_mu_pre_norm),
-                             _fmt(row.eta_current), _fmt(row.wall_ms)])
+            writer.writerow([row.step, seed,
+                             *(_fmt(getattr(row, c)) for c in CSV_COLUMNS[2:])])
 
 
 def write_aggregate_csv(path: Path, records: dict[int, TrainRecord]) -> None:
@@ -215,8 +212,10 @@ class ExperimentSummary:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Train every seed independently and emit per-seed plus aggregate CSVs.
 
-    A failing seed is reported in the summary and on stderr; the remaining
-    seeds still run.  When every seed fails, no aggregate is written.
+    A seed that fails to train or to write its CSV is reported in the
+    summary and on stderr; the remaining seeds still run.  The aggregate
+    covers the seeds that did not fail, and is not written when every seed
+    fails.
     """
     summary = ExperimentSummary()
     out_dir = Path(cfg.out) if cfg.out else None
@@ -234,13 +233,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
                                   eval_interval=cfg.eval_interval,
                                   eval_rollouts=cfg.eval_rollouts,
                                   record_walltime=cfg.walltime)
+            if out_dir is not None:
+                write_seed_csv(out_dir / f"seed_{seed}.csv", seed, record)
         except Exception as exc:  # noqa: BLE001 - isolate per-seed failures
             summary.failures[seed] = f"{type(exc).__name__}: {exc}"
             print(f"seed {seed} failed: {summary.failures[seed]}", file=sys.stderr)
             continue
         summary.records[seed] = record
-        if out_dir is not None:
-            write_seed_csv(out_dir / f"seed_{seed}.csv", seed, record)
     if out_dir is not None and summary.records:
         write_aggregate_csv(out_dir / "aggregate.csv", summary.records)
     return summary

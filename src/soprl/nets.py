@@ -6,6 +6,7 @@ backward pass can be written out exactly and checked against central
 finite differences.  Each network's weights and biases are views into one
 contiguous ``flat`` vector; gradients and the Adam moments share that
 layout, so the optimizer and the Polyak average are whole-vector ops.
+A ``TrainedNet`` holds all of one network's training state.
 
 Inputs may be a single vector ``(d,)`` or a batch ``(B, d)``; outputs match
 the input rank.
@@ -43,10 +44,10 @@ class MlpParams:
     """Per-layer weights and biases, as views into one flat vector.
 
     ``weights[i]`` has shape (fan_in, fan_out); hidden layers use ReLU, the
-    final layer is linear.  The same container is reused for gradients and
-    Adam moments, which makes shape congruence automatic.  The given arrays
-    are copied into ``flat`` (order W0, b0, W1, b1, ...); when ``flat`` is
-    given instead, they only supply the shapes of the views into it.
+    final layer is linear.  The same container is reused for gradients,
+    which makes shape congruence automatic.  The given arrays are copied
+    into ``flat`` (order W0, b0, W1, b1, ...); when ``flat`` is given
+    instead, they only supply the shapes of the views into it.
     """
 
     weights: list[np.ndarray]
@@ -253,30 +254,37 @@ def mlp_input_grad(params: MlpParams, cache: ForwardCache,
 
 
 @dataclass
-class AdamState:
-    """First/second moment estimates plus the update counter."""
+class TrainedNet:
+    """One trained network: its parameters, its Polyak target if it has one,
+    the gradient buffer (overwritten by each backward pass), and the Adam
+    moments ``m`` and ``v`` (flat, in the layout of ``params.flat``) and
+    step count ``t`` of its updates."""
 
-    m: MlpParams
-    v: MlpParams
+    params: MlpParams
+    target: MlpParams | None = None
+    grads: MlpParams = field(init=False, repr=False)
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
     t: int = 0
 
-    @classmethod
-    def for_params(cls, params: MlpParams) -> "AdamState":
-        return cls(m=zeros_like_params(params), v=zeros_like_params(params), t=0)
+    def __post_init__(self):
+        self.grads = zeros_like_params(self.params)
+        self.m = np.zeros_like(self.params.flat)
+        self.v = np.zeros_like(self.params.flat)
 
 
-def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float) -> None:
-    """One Adam update of ``params`` and ``state``, in place."""
-    grads.check_finite()
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    m, v, g = state.m.flat, state.v.flat, grads.flat
+def adam_step(net: TrainedNet, lr: float) -> None:
+    """One Adam update of ``net``'s parameters from its gradients, in place."""
+    net.grads.check_finite()
+    net.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** net.t
+    bc2 = 1.0 - ADAM_BETA2 ** net.t
+    m, v, g = net.m, net.v, net.grads.flat
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * np.square(g)
-    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    net.params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _kink_safe_units(params: MlpParams, x2d: np.ndarray,

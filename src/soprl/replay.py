@@ -56,13 +56,12 @@ class ReplayBuffer:
     """Fixed-capacity FIFO ring of transitions with exact recency indexing.
 
     Each transition is one float64 row of ``_rows``: state | action | reward
-    | next state.  ``states``, ``actions``, ``rewards`` and ``next_states``
-    are column views of it, so a write through them fills that part of the
-    row; ``dones`` is its own bool array.  ``gather`` takes whole rows with
-    one ``take`` and returns each field as a C-contiguous copy of its
-    columns, so a batch has the dtypes, shapes, layout and bits of indexing
-    the five fields one by one.  At a buffer of 1e6 each drawn slot then
-    misses cache once, in its row, instead of once in each of five arrays.
+    | next state; ``dones`` is its own bool array.  ``gather`` takes whole
+    rows with one ``take`` and returns each field as a C-contiguous copy of
+    its columns, so a batch has the dtypes, shapes, layout and bits of
+    indexing the five fields one by one.  At a buffer of 1e6 each drawn
+    slot then misses cache once, in its row, instead of once in each of
+    five arrays.
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
@@ -71,12 +70,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
-        a0, r = state_dim, state_dim + action_dim  # first action column, the reward column
         self._rows = np.zeros((capacity, 2 * state_dim + action_dim + 1))
-        self.states = self._rows[:, :a0]
-        self.actions = self._rows[:, a0:r]
-        self.rewards = self._rows[:, r]
-        self.next_states = self._rows[:, r + 1:]
         self.dones = np.zeros(capacity, dtype=bool)
         self.cursor = 0
         self.size = 0
@@ -112,6 +106,7 @@ class ReplayBuffer:
     def gather(self, slots: np.ndarray) -> dict[str, np.ndarray]:
         """The transitions at the integer ``slots``, one array per field."""
         rows = self._rows.take(slots, axis=0)
+        # the first action column and the reward column
         a0, r = self.state_dim, self.state_dim + self.action_dim
         return {
             "states": rows[:, :a0].copy(),

@@ -429,8 +429,8 @@ class TestTrain:
         env = make_env("pointmass1d")
         record, agent = train(env, desk_cfg(), 0, seed=4, eval_interval=10)
         assert record.rows == []
-        assert agent.critics[0].adam.t == 0
-        assert agent.policy.adam.t == 0
+        assert agent.critics[0].t == 0
+        assert agent.policy.t == 0
 
     def test_bit_identical_records_across_runs(self):
         env = make_env("pointmass1d")
@@ -445,7 +445,7 @@ class TestTrain:
         env = make_env("pointmass1d")
         record, agent = train(env, desk_cfg(warmup_steps=1000), 400, seed=2,
                               eval_interval=200)
-        assert agent.critics[0].adam.t == 0
+        assert agent.critics[0].t == 0
         assert len(record.rows) == 2
 
     @pytest.mark.parametrize("sampler, owner, name", [
@@ -466,7 +466,7 @@ class TestTrain:
         monkeypatch.setattr(owner, name, spy)
         _, agent = train(make_env("pointmass1d"), desk_cfg(sampler=sampler), 200, seed=3,
                          eval_interval=100)
-        episodes, updates = 200 // 50, agent.critics[0].adam.t
+        episodes, updates = 200 // 50, agent.critics[0].t
         assert updates == 150  # the three episodes after the warmup episode
         assert len(calls) == (episodes if owner is soprl.replay.PerfTracker else updates)
 
@@ -475,13 +475,13 @@ class TestTrain:
             env = make_env("pointmass1d")
             record, agent = train(env, desk_cfg(sampler=sampler), 200, seed=1,
                                   eval_interval=100)
-            assert agent.critics[0].adam.t > 0
+            assert agent.critics[0].t > 0
 
     def test_ig_variant_runs(self):
         env = make_env("pointmass1d")
         record, agent = train(env, desk_cfg(variant="sop_ig"), 200, seed=1,
                               eval_interval=100)
-        assert agent.critics[0].adam.t > 0
+        assert agent.critics[0].t > 0
 
     def test_ig_variant_evaluates_on_asymmetric_box(self):
         class ShiftedPointMass(PointMass1D):
@@ -497,7 +497,7 @@ class TestTrain:
 
         record, agent = train(ShiftedPointMass(), desk_cfg(variant="sop_ig"), 200,
                               seed=1, eval_interval=100)
-        assert agent.critics[0].adam.t > 0 and len(record.rows) == 2
+        assert agent.critics[0].t > 0 and len(record.rows) == 2
         for row in record.rows:
             assert 0.0 <= row.saturation_fraction <= 1.0
             assert np.isfinite(row.entropy_estimate)

@@ -1,5 +1,6 @@
 import csv
 import errno
+import os
 import subprocess
 import sys
 
@@ -206,6 +207,33 @@ def test_run_where_every_seed_fails_writes_no_aggregate(tmp_path, monkeypatch, c
     assert "seed 0: FAILED (" in out
     assert "CSV output in" not in out
     assert not (tmp_path / "o" / "aggregate.csv").exists()
+
+
+def test_run_where_a_seed_csv_cannot_be_written_fails_only_that_seed(tmp_path, capsys):
+    (tmp_path / "o" / "seed_2.csv").mkdir(parents=True)
+    assert run_cli("run", "--env", "pointmass1d", *SMALL_RUN, "--seeds", "1,2,3",
+                   "--out", str(tmp_path / "o")) == 1
+    captured = capsys.readouterr()
+    assert "seed 2 failed: IsADirectoryError: " in captured.err
+    assert "seed 2: FAILED (IsADirectoryError: " in captured.out
+    assert "seed 1: final eval return" in captured.out
+    assert "seed 3: final eval return" in captured.out
+    # the other seeds' CSVs, and an aggregate over them alone
+    assert run_cli("run", "--env", "pointmass1d", *SMALL_RUN, "--seeds", "1,3",
+                   "--out", str(tmp_path / "ref")) == 0
+    for name in ("seed_1.csv", "seed_3.csv", "aggregate.csv"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def test_run_whose_aggregate_cannot_be_written_ends_in_one_error_line(tmp_path, capsys):
+    (tmp_path / "aggregate.csv").mkdir()
+    assert run_cli("run", "--env", "pointmass1d", *SMALL_RUN, "--seeds", "1",
+                   "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("pointmass1d: ")  # the env's description
+    assert err[1] == (f"aggregate not written: [Errno {errno.EISDIR}] "
+                      f"{os.strerror(errno.EISDIR)}: '{tmp_path / 'aggregate.csv'}'")
+    assert (tmp_path / "seed_1.csv").is_file()
 
 
 class TestAnalyzeCommand:

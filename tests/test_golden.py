@@ -16,8 +16,11 @@ relative, and each changes every training hash, so there is one training
 table per kernel, chosen by the kernel numpy loaded (``blas_kernel``).
 ``GOLDEN`` was captured under SkylakeX (the scipy-openblas that numpy 2.4
 loads picks it on AVX-512 CPUs), ``GOLDEN_HASWELL`` under Haswell (most
-AVX2 CPUs).  To add the table of another kernel, which is not a re-pin,
-run ``OPENBLAS_CORETYPE=<kernel> PYTHONPATH=src python tests/test_golden.py``.
+AVX2 CPUs), ``GOLDEN_SANDYBRIDGE`` under Sandybridge (AVX), and
+``GOLDEN_KATMAI`` under the kernel that ``OPENBLAS_CORETYPE=Prescott`` loads
+and OpenBLAS names Katmai.  To add the table of another kernel, which is not
+a re-pin, run ``OPENBLAS_CORETYPE=<kernel> PYTHONPATH=src python
+tests/test_golden.py``.
 The count curves make no matmul.
 """
 
@@ -103,7 +106,60 @@ GOLDEN_HASWELL = {
     "sop_ig-uniform": "39555e586fbb9723c9a0ad9f0d20a167ef6f17866feeca044a4c1890b19c6f3e",
 }
 
-TRAINING_TABLES = {"SkylakeX": GOLDEN, "Haswell": GOLDEN_HASWELL}
+GOLDEN_SANDYBRIDGE = {
+    "desk-sop-ere": "51af07f1b837163bff409ca334da57f2e07b1a73046ab8ba713a60dc5a025028",
+    "desk-sop_ig-per": "fa77621853115383cf52421233f9ba9391b8b6d9c40854ca7810d26e4330dd0d",
+    "lure-sop-ere": "46ffe481dd4a2edae811a81f16d7415cd99f4e4520c0ec10e9d6c53833f2329d",
+    "no_norm-ere": "d3fc14884a6f1fa08c0f1179a05bd17138f01012ecd1e78f2027e10ef1d03b70",
+    "no_norm-exp": "42485ab5c8fbdbc9017fac0f9cbb3b8aabde8ff88c374c50e836d740cccae55a",
+    "no_norm-per": "bb6e4143f2f3cc797292513c0e101aa26f3eb12f697b6ebb5ca379ea6c2d0fdc",
+    "no_norm-uniform": "3a9b9e50e40644c13d6207960d47fc7d775cdf99338d35303dfc47e052f93fed",
+    "no_smoothing-ere": "9524d7f7f82608c3401271fd63ba56bbabae4143a0260b54d02d2a003b0b5b54",
+    "no_smoothing-exp": "8a3cea2a132f84b8dcbc719e35a655d685066c8881c8139196d5ebb6416acc4f",
+    "no_smoothing-per": "12a903827348848994fd4c1542f4d23fcc3da03997f73c2b1eb1fc7960dddad1",
+    "no_smoothing-uniform": "abc871ec495d67136ffefcf6884f276f8426cf0d672723ff144034a777261e6e",
+    "single_q-ere": "ca1953704328540cfbeb29b722cbe05a0902ead0def6619b7a197bac8aa3334b",
+    "single_q-exp": "be460103f99fa2de743a4fd2aa80cca8fb0a291c26f4650a90092d9aebde7ec1",
+    "single_q-per": "aca3ba1ded1673309f19dbecbc29e46f20b0aab8f3dd71deba66602845b13234",
+    "single_q-uniform": "bea1e49c46a65968e89b2f0d0e8d4a1277c297106902428d1919b0c487452f68",
+    "sop-ere": "aa6e2978213b0daea246125bfb9a96c140fb5132eac1cdb91097f4c16084f12f",
+    "sop-exp": "f0593b5fd66d71e0fe5fdd875ffcb95a8c623caf5c1782e4ede68019e206198b",
+    "sop-per": "535e97b2f89f80b698635775078b9ae58c08285f8c821d496e4dcd730920c782",
+    "sop-uniform": "82c69503ec4bc3a28201ddbf00ea1c008a96df6f6fbf215a1ce85d1f1a751e4f",
+    "sop_ig-ere": "63cd2b5d5919a18ded3b2ebc259975e952c407bba4560d4d67156399eaf0b096",
+    "sop_ig-exp": "86001a40daabc576023dc68373909fb38ef8ad8f79cf6108141a92317086fe28",
+    "sop_ig-per": "39d6d91716544dc01bfdc6017785543885a9b4c3a9f0149b44115c3960b99672",
+    "sop_ig-uniform": "e0739672cdaea906e397786fe6d4544ab6d04d0c6e247d73fe63b00a67685962",
+}
+
+GOLDEN_KATMAI = {
+    "desk-sop-ere": "51af07f1b837163bff409ca334da57f2e07b1a73046ab8ba713a60dc5a025028",
+    "desk-sop_ig-per": "fa77621853115383cf52421233f9ba9391b8b6d9c40854ca7810d26e4330dd0d",
+    "lure-sop-ere": "e64d7b9b88a1f5e59dc55688d646a69b38ed4ea9dc9f8448c88011614b4d61ce",
+    "no_norm-ere": "d3fc14884a6f1fa08c0f1179a05bd17138f01012ecd1e78f2027e10ef1d03b70",
+    "no_norm-exp": "42485ab5c8fbdbc9017fac0f9cbb3b8aabde8ff88c374c50e836d740cccae55a",
+    "no_norm-per": "bb6e4143f2f3cc797292513c0e101aa26f3eb12f697b6ebb5ca379ea6c2d0fdc",
+    "no_norm-uniform": "3a9b9e50e40644c13d6207960d47fc7d775cdf99338d35303dfc47e052f93fed",
+    "no_smoothing-ere": "9524d7f7f82608c3401271fd63ba56bbabae4143a0260b54d02d2a003b0b5b54",
+    "no_smoothing-exp": "8a3cea2a132f84b8dcbc719e35a655d685066c8881c8139196d5ebb6416acc4f",
+    "no_smoothing-per": "12a903827348848994fd4c1542f4d23fcc3da03997f73c2b1eb1fc7960dddad1",
+    "no_smoothing-uniform": "abc871ec495d67136ffefcf6884f276f8426cf0d672723ff144034a777261e6e",
+    "single_q-ere": "ca1953704328540cfbeb29b722cbe05a0902ead0def6619b7a197bac8aa3334b",
+    "single_q-exp": "be460103f99fa2de743a4fd2aa80cca8fb0a291c26f4650a90092d9aebde7ec1",
+    "single_q-per": "aca3ba1ded1673309f19dbecbc29e46f20b0aab8f3dd71deba66602845b13234",
+    "single_q-uniform": "bea1e49c46a65968e89b2f0d0e8d4a1277c297106902428d1919b0c487452f68",
+    "sop-ere": "aa6e2978213b0daea246125bfb9a96c140fb5132eac1cdb91097f4c16084f12f",
+    "sop-exp": "f0593b5fd66d71e0fe5fdd875ffcb95a8c623caf5c1782e4ede68019e206198b",
+    "sop-per": "535e97b2f89f80b698635775078b9ae58c08285f8c821d496e4dcd730920c782",
+    "sop-uniform": "82c69503ec4bc3a28201ddbf00ea1c008a96df6f6fbf215a1ce85d1f1a751e4f",
+    "sop_ig-ere": "63cd2b5d5919a18ded3b2ebc259975e952c407bba4560d4d67156399eaf0b096",
+    "sop_ig-exp": "86001a40daabc576023dc68373909fb38ef8ad8f79cf6108141a92317086fe28",
+    "sop_ig-per": "39d6d91716544dc01bfdc6017785543885a9b4c3a9f0149b44115c3960b99672",
+    "sop_ig-uniform": "e0739672cdaea906e397786fe6d4544ab6d04d0c6e247d73fe63b00a67685962",
+}
+
+TRAINING_TABLES = {"SkylakeX": GOLDEN, "Haswell": GOLDEN_HASWELL,
+                   "Sandybridge": GOLDEN_SANDYBRIDGE, "Katmai": GOLDEN_KATMAI}
 CAPTURE = "OPENBLAS_CORETYPE={} PYTHONPATH=src python tests/test_golden.py"
 
 COUNTS_ARGV = ["--buffer", "300", "--updates", "200", "--trials", "500", "--seed", "1"]
@@ -150,11 +206,17 @@ def test_csv_bytes_match_golden(name, tmp_path):
         f"CSV bytes of {name} changed under OpenBLAS's {kernel} kernel")
 
 
-def test_haswell_table_holds_under_the_haswell_kernel():
-    """The training goldens, run in a subprocess with the Haswell kernel
-    forced, keep the second table honest on a machine that picks another."""
+# OPENBLAS_CORETYPE values whose kernels have a table; forcing Prescott loads
+# the kernel that OpenBLAS reports as Katmai
+FORCED_CORETYPES = ("Haswell", "Sandybridge", "Prescott")
+
+
+@pytest.mark.parametrize("coretype", FORCED_CORETYPES)
+def test_table_holds_under_a_forced_kernel(coretype):
+    """The training goldens, run in a subprocess with the kernel forced, keep
+    each table honest on a machine that picks another."""
     root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -191,7 +191,7 @@ class TestCacheContract:
         assert np.array_equal(input1, kept[2])
 
     @pytest.mark.parametrize("build", ["init_mlp", "copy", "zeros_like_params", "lists",
-                                       "adam_moment", "constructor"])
+                                       "constructor"])
     def test_tensors_are_views_of_flat(self, build):
         params = nets.init_mlp(3, 5, 2, np.random.default_rng(14))
         if build == "copy":
@@ -201,8 +201,6 @@ class TestCacheContract:
         elif build == "lists":
             params = make_params([w.copy() for w in params.weights],
                                  [b.copy() for b in params.biases])
-        elif build == "adam_moment":
-            params = nets.AdamState.for_params(params).v
         elif build == "constructor":  # from views into another network's flat
             params = nets.MlpParams(params.weights, params.biases)
         assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
@@ -251,73 +249,74 @@ class TestGradientBuffers:
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         rng = np.random.default_rng(7)
-        params = nets.init_mlp(2, 4, 1, rng)
-        before = params.copy()
-        state = nets.AdamState.for_params(params)
-        nets.adam_step(state, params, nets.zeros_like_params(params), lr=0.1)
-        for (_, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
+        net = nets.TrainedNet(nets.init_mlp(2, 4, 1, rng))
+        before = net.params.copy()
+        nets.adam_step(net, lr=0.1)
+        for (_, a), (_, b) in zip(net.params.named_tensors(), before.named_tensors()):
             assert np.array_equal(a, b)
-        assert state.t == 1
+        assert net.t == 1
 
     def test_first_step_moves_by_lr(self):
         # single scalar parameter w=0, g=1: bias-corrected first step is
         # lr * 1 / (1 + eps) which is -0.1 up to the epsilon offset
-        params = make_params([[[0.0]]], [[0.0]])
-        state = nets.AdamState.for_params(params)
-        grads = make_params([[[1.0]]], [[0.0]])
-        nets.adam_step(state, params, grads, lr=0.1)
-        assert params.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-8)
+        net = nets.TrainedNet(make_params([[[0.0]]], [[0.0]]))
+        net.grads.weights[0][0, 0] = 1.0
+        nets.adam_step(net, lr=0.1)
+        assert net.params.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_quadratic_loss_decreases(self):
         # loss(w) = (w - 3)^2 minimized by repeated adam steps
-        params = make_params([[[0.0]]], [[0.0]])
-        state = nets.AdamState.for_params(params)
+        net = nets.TrainedNet(make_params([[[0.0]]], [[0.0]]))
         losses = []
         for _ in range(2):
-            w = params.weights[0][0, 0]
+            w = net.params.weights[0][0, 0]
             losses.append((w - 3.0) ** 2)
-            grads = make_params([[[2.0 * (w - 3.0)]]], [[0.0]])
-            nets.adam_step(state, params, grads, lr=0.05)
-        w = params.weights[0][0, 0]
+            net.grads.weights[0][0, 0] = 2.0 * (w - 3.0)
+            nets.adam_step(net, lr=0.05)
+        w = net.params.weights[0][0, 0]
         losses.append((w - 3.0) ** 2)
         assert losses[1] < losses[0] and losses[2] < losses[1]
 
     def test_nonfinite_gradient_names_tensor(self):
         rng = np.random.default_rng(8)
-        params = nets.init_mlp(2, 4, 1, rng)
-        state = nets.AdamState.for_params(params)
-        grads = nets.zeros_like_params(params)
-        grads.weights[1][0, 0] = np.nan
+        net = nets.TrainedNet(nets.init_mlp(2, 4, 1, rng))
+        net.grads.weights[1][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="W1"):
-            nets.adam_step(state, params, grads, lr=0.1)
+            nets.adam_step(net, lr=0.1)
 
     def test_matches_the_temporaries_formula_bitwise(self):
         rng = np.random.default_rng(19)
-        params = nets.init_mlp(3, 16, 2, rng)
-        ref = params.flat.copy()
+        net = nets.TrainedNet(nets.init_mlp(3, 16, 2, rng))
+        ref = net.params.flat.copy()
         m, v = np.zeros_like(ref), np.zeros_like(ref)
-        state = nets.AdamState.for_params(params)
-        grads = nets.zeros_like_params(params)
         b1, b2, eps, lr = nets.ADAM_BETA1, nets.ADAM_BETA2, nets.ADAM_EPS, 3e-4
         for t in range(1, 51):
-            grads.flat[:] = wide_floats(rng, grads.flat.shape) * 1e-6
-            nets.adam_step(state, params, grads, lr=lr)
-            g = grads.flat
+            net.grads.flat[:] = wide_floats(rng, net.grads.flat.shape) * 1e-6
+            nets.adam_step(net, lr=lr)
+            g = net.grads.flat
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * np.square(g)
             ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-            assert same_bits(state.m.flat, m) and same_bits(state.v.flat, v)
-            assert same_bits(params.flat, ref)
+            assert same_bits(net.m, m) and same_bits(net.v, v)
+            assert same_bits(net.params.flat, ref)
 
     def test_step_counter_increments(self):
-        params = make_params([[[0.0]]], [[0.0]])
-        state = nets.AdamState.for_params(params)
-        grads = make_params([[[1.0]]], [[0.0]])
+        net = nets.TrainedNet(make_params([[[0.0]]], [[0.0]]))
+        net.grads.weights[0][0, 0] = 1.0
         for expected in (1, 2, 3):
-            nets.adam_step(state, params, grads, lr=0.01)
-            assert state.t == expected
+            nets.adam_step(net, lr=0.01)
+            assert net.t == expected
+
+    def test_moments_start_zeroed_in_their_own_flat_buffers(self):
+        net = nets.TrainedNet(nets.init_mlp(3, 5, 2, np.random.default_rng(20)))
+        for moment in (net.m, net.v):
+            assert moment.dtype == np.float64 and moment.flags.c_contiguous
+            assert moment.shape == net.params.flat.shape and not moment.any()
+            assert not np.shares_memory(moment, net.params.flat)
+            assert not np.shares_memory(moment, net.grads.flat)
+        assert not np.shares_memory(net.m, net.v)
 
 
 class TestFiniteDiffCheck:

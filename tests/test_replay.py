@@ -102,13 +102,13 @@ class TestBuffer:
         buf = ReplayBuffer(4, 1, 1)
         buf.push(trans(7))
         assert buf.size == 1
-        assert buf.rewards[buf.recent_slot(0)] == 7.0
+        assert buf.gather(buf.recent_slot(np.array([0])))["rewards"].tolist() == [7.0]
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(3, 1, 1)
         fill(buf, 4)
         assert buf.size == 3
-        rewards = [buf.rewards[buf.recent_slot(i)] for i in range(3)]
+        rewards = buf.gather(buf.recent_slot(np.arange(3)))["rewards"].tolist()
         assert rewards == [3.0, 2.0, 1.0]  # newest first, item 0 evicted
 
     def test_dimension_mismatch_rejected(self):
@@ -169,7 +169,7 @@ class TestBuffer:
     def test_fifo_enumeration_matches_reverse_insertion(self):
         buf = ReplayBuffer(5, 1, 1)
         fill(buf, 8)
-        got = [buf.rewards[buf.recent_slot(i)] for i in range(buf.size)]
+        got = buf.gather(buf.recent_slot(np.arange(buf.size)))["rewards"].tolist()
         assert got == [7.0, 6.0, 5.0, 4.0, 3.0]
 
     @settings(max_examples=80, deadline=None)
@@ -192,7 +192,7 @@ class TestBuffer:
                 ref[name][k % capacity] = value
         slots = np.array(data.draw(st.lists(st.integers(-capacity, capacity - 1), max_size=9)),
                          dtype=np.int64)
-        before = {name: getattr(buf, name).copy() for name in ref}
+        before = buf._rows.copy(), buf.dones.copy()
         batch = buf.gather(slots)
 
         b = slots.size
@@ -206,12 +206,12 @@ class TestBuffer:
             assert got.flags.c_contiguous and got.flags.owndata
             assert np.array_equal(got, want)
             got[...] = 1  # writing into the batch leaves the buffer as it was
-        for name, field in before.items():
-            assert np.array_equal(getattr(buf, name), field)
+        assert np.array_equal(buf._rows, before[0]) and np.array_equal(buf.dones, before[1])
 
-        for s in range(capacity):  # the fields read back what was pushed
+        every = buf.gather(np.arange(capacity))  # the fields read back what was pushed
+        for s in range(capacity):
             for name in ref:
-                assert np.array_equal(getattr(buf, name)[s], ref[name][s])
+                assert np.array_equal(every[name][s], ref[name][s])
         for bad in (capacity, -capacity - 1):
             with pytest.raises(IndexError):
                 buf.gather(np.array([0, bad]))
@@ -312,14 +312,14 @@ class TestEreSampler:
         fill(buf, 100)
         cfg = EreConfig(eta0=0.001, c_min=1)
         slots = sample_ere(buf, 1000, 1000, cfg, 0.001, 8, np.random.default_rng(0))
-        assert np.all(buf.rewards[slots] == 99.0)
+        assert np.all(buf.gather(slots)["rewards"] == 99.0)
 
     def test_window_capped_by_current_size(self):
         buf = ReplayBuffer(1000, 1, 1)
         fill(buf, 10)
         cfg = EreConfig(eta0=1.0, c_min=1)
         slots = sample_ere(buf, 1, 10, cfg, 1.0, 64, np.random.default_rng(1))
-        assert np.all(buf.rewards[slots] >= 0.0)
+        assert np.all(buf.gather(slots)["rewards"] >= 0.0)
         assert np.all(slots < 10)
 
     def test_empty_buffer_rejected(self):
