@@ -16,7 +16,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ActionBounds:
-    """Per-dimension action box.
+    """Per-dimension action box, held as read-only float64 copies.
 
     ``low``/``high`` feed the inverting-gradients path and clipping; the
     symmetric half-range ``scale`` feeds tanh squashing.
@@ -24,23 +24,24 @@ class ActionBounds:
 
     low: np.ndarray
     high: np.ndarray
-    # the half range, worked out once; None when the box is not symmetric
-    _scale: np.ndarray | None = field(init=False, repr=False, compare=False)
+    center: np.ndarray = field(init=False, repr=False, compare=False)
+    half_range: np.ndarray = field(init=False, repr=False, compare=False)
+    _symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        low = np.atleast_1d(np.asarray(self.low, dtype=np.float64))
-        high = np.atleast_1d(np.asarray(self.high, dtype=np.float64))
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
+        low = np.atleast_1d(np.array(self.low, dtype=np.float64))  # a copy
+        high = np.atleast_1d(np.array(self.high, dtype=np.float64))
         if low.shape != high.shape:
             raise ValueError("low/high shape mismatch")
         if not np.all(low < high):
             raise ValueError("require low < high component-wise")
         m = (high - low) / 2.0
         center = (high + low) / 2.0
-        symmetric = not np.any(np.abs(center) > 1e-12 * np.maximum(m, 1.0))
-        m.flags.writeable = False
-        object.__setattr__(self, "_scale", m if symmetric else None)
+        for name, value in (("low", low), ("high", high), ("center", center), ("half_range", m)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_symmetric",
+                           not np.any(np.abs(center) > 1e-12 * np.maximum(m, 1.0)))
 
     @classmethod
     def symmetric(cls, scale: float | np.ndarray, dim: int) -> "ActionBounds":
@@ -52,9 +53,9 @@ class ActionBounds:
     @property
     def scale(self) -> np.ndarray:
         """Symmetric half-range M (read-only); only meaningful for tanh squashing."""
-        if self._scale is None:
+        if not self._symmetric:
             raise ValueError("tanh squashing requires symmetric bounds")
-        return self._scale
+        return self.half_range
 
 
 def _mean_abs(x: np.ndarray) -> np.ndarray:
@@ -159,9 +160,7 @@ def saturation_fraction(actions: np.ndarray, bounds: ActionBounds) -> float:
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     if actions.size == 0:
         raise ValueError("empty action batch")
-    center = (bounds.high + bounds.low) / 2.0
-    half_range = (bounds.high - bounds.low) / 2.0
-    return float(np.mean(np.abs(actions - center) >= 0.99 * half_range))
+    return float(np.mean(np.abs(actions - bounds.center) >= 0.99 * bounds.half_range))
 
 
 def _log_sech2(u: np.ndarray) -> np.ndarray:
@@ -244,7 +243,7 @@ class InvertingGradientsHead:
 
     def __init__(self, bounds: ActionBounds):
         self.bounds = bounds
-        self.noise_unit = (bounds.high - bounds.low) / 2.0
+        self.noise_unit = bounds.half_range
 
     def center(self, mu: np.ndarray) -> np.ndarray:
         return mu

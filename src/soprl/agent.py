@@ -72,10 +72,6 @@ class AgentConfig:
     def ere_config(self) -> EreConfig:
         return EreConfig(eta0=self.eta0)
 
-    @property
-    def smooths_targets(self) -> bool:
-        return self.variant != "no_smoothing"
-
 
 def _mean(x: np.ndarray) -> float:
     """``float(np.mean(x))`` bit for bit: the same ``np.add.reduce`` sum over
@@ -145,7 +141,7 @@ class SopAgent:
         if n == 0:
             raise ValueError("empty batch")
         center = self.head.center(nets.mlp_forward(self.policy.params, s2))
-        if cfg.smooths_targets:
+        if cfg.variant != "no_smoothing":
             delta = cfg.sigma * self.rng_target.standard_normal((n, self.action_dim))
         else:
             delta = np.zeros((n, self.action_dim))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from typing import TextIO
 
@@ -88,7 +89,6 @@ def _write_counts(out: TextIO, analytic: np.ndarray, empirical: np.ndarray,
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    eta = 1.0 if args.scheme.startswith("uniform") else args.eta
     start = "empty" if args.scheme.endswith("empty") else "full"
     with contextlib.ExitStack() as stack:
         try:
@@ -97,7 +97,9 @@ def _cmd_counts(args: argparse.Namespace) -> int:
             if start == "empty" and 1 <= args.buffer < args.updates:
                 raise ValueError("updates: an empty start needs --updates <= --buffer "
                                  f"(got {args.updates} > {args.buffer})")
-            scn = SamplingScenario(args.buffer, args.updates, eta, start)
+            scn = SamplingScenario(args.buffer, args.updates, args.eta, start)
+            if args.scheme.startswith("uniform"):  # checked, then unused: uniform is eta 1
+                scn = dataclasses.replace(scn, eta=1.0)
             if args.trials < 1:
                 raise ValueError("trials: must be >= 1")
             out = stack.enter_context(_replacing(args.out)) if args.out else sys.stdout

@@ -29,7 +29,8 @@ class EnvSpec:
 
 
 class ToyEnv:
-    """Shared reset/step plumbing; subclasses define dynamics and reward."""
+    """Shared reset/step plumbing; subclasses define dynamics and reward, and
+    declare their ``spec`` as a class constant, shared by every instance."""
 
     spec: EnvSpec
 
@@ -71,10 +72,8 @@ class ToyEnv:
 class PointMass1D(ToyEnv):
     """Position on [-1, 1], step of at most 0.1, reward -x'^2, horizon 50."""
 
-    def __init__(self):
-        super().__init__()
-        self.spec = EnvSpec("pointmass1d", 1, 1, ActionBounds.symmetric(0.1, 1),
-                            50, "-x'^2 after x' = clamp(x + a, -1, 1)")
+    spec = EnvSpec("pointmass1d", 1, 1, ActionBounds.symmetric(0.1, 1),
+                   50, "-x'^2 after x' = clamp(x + a, -1, 1)")
 
     def _initial_state(self, rng):
         return rng.uniform(-1.0, 1.0, size=1)
@@ -87,10 +86,8 @@ class PointMass1D(ToyEnv):
 class PointMass2D(ToyEnv):
     """Two independent axes; reward is the mean of the per-axis -x'^2."""
 
-    def __init__(self):
-        super().__init__()
-        self.spec = EnvSpec("pointmass2d", 2, 2, ActionBounds.symmetric(0.1, 2),
-                            100, "-(x1'^2 + x2'^2)/2")
+    spec = EnvSpec("pointmass2d", 2, 2, ActionBounds.symmetric(0.1, 2),
+                   100, "-(x1'^2 + x2'^2)/2")
 
     def _initial_state(self, rng):
         return rng.uniform(-1.0, 1.0, size=2)
@@ -106,38 +103,30 @@ class BoundaryLure(ToyEnv):
     State is normalized time.  The quadratic term peaks at the interior
     point 0.3*M, but during the first 20% of the episode actions with
     |a| >= 0.9*M collect an extra 0.05, which makes the bound the better
-    choice early on and pulls raw policy outputs outward.
+    choice early on and pulls raw policy outputs outward.  ``M`` is a
+    Python float, so the reward is worked out in Python floats.
     """
 
+    M = 0.1
     BONUS = 0.05
     TARGET_FRACTION = 0.3
     LURE_EDGE = 0.9
-    WINDOW_FRACTION = 0.2
-
-    def __init__(self):
-        super().__init__()
-        m = 0.1
-        self.spec = EnvSpec("boundarylure", 1, 1, ActionBounds.symmetric(m, 1),
-                            50, "-(a - 0.3M)^2 + 0.05*[|a| >= 0.9M] on early steps")
-        self._m = m
-        self._window = int(round(self.WINDOW_FRACTION * self.spec.horizon))
+    spec = EnvSpec("boundarylure", 1, 1, ActionBounds.symmetric(M, 1),
+                   50, "-(a - 0.3M)^2 + 0.05*[|a| >= 0.9M] on early steps")
+    WINDOW = spec.horizon // 5  # the lure's steps: the first 20% of the episode
 
     def _initial_state(self, rng):
         return np.zeros(1)
 
     def _transition(self, state, action, t):
         a = float(action[0])
-        r = -((a - self.TARGET_FRACTION * self._m) ** 2)
-        if t < self._window and abs(a) >= self.LURE_EDGE * self._m:
+        r = -((a - self.TARGET_FRACTION * self.M) ** 2)
+        if t < self.WINDOW and abs(a) >= self.LURE_EDGE * self.M:
             r += self.BONUS
         return np.array([(t + 1) / self.spec.horizon]), r
 
 
-_REGISTRY = {
-    "pointmass1d": PointMass1D,
-    "pointmass2d": PointMass2D,
-    "boundarylure": BoundaryLure,
-}
+_REGISTRY = {cls.spec.name: cls for cls in (PointMass1D, PointMass2D, BoundaryLure)}
 
 
 def make_env(name: str) -> ToyEnv:
@@ -183,7 +172,7 @@ def _dp_pointmass_axis(spec: EnvSpec, state_res: int,
     return grid, v
 
 
-def dp_oracle(env: ToyEnv | str, state_res: int = 513, action_res: int = 129) -> DpResult:
+def dp_oracle(name: str, state_res: int = 513, action_res: int = 129) -> DpResult:
     """Finite-horizon optimal return (gamma = 1) on a discretized grid.
 
     The mean return averages the start-state value over the environment's
@@ -194,7 +183,7 @@ def dp_oracle(env: ToyEnv | str, state_res: int = 513, action_res: int = 129) ->
     """
     if state_res < 32 or action_res < 32:
         raise ValueError("grid resolutions must be at least 32")
-    env = make_env(env) if isinstance(env, str) else env
+    env = make_env(name)
     spec = env.spec
     if spec.name in ("pointmass1d", "pointmass2d"):
         grid, v = _dp_pointmass_axis(spec, state_res, action_res)

@@ -203,9 +203,8 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray, *,
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Evaluate the network; deterministic, float64.  Leaves the cache of the
     last cached forward of ``params`` valid."""
-    x2d, squeeze = _as_batch(x, params.sizes[0], "input")
-    y, _ = mlp_forward_cached(params, x2d, keep=False)
-    return y[0] if squeeze else y
+    y, _ = mlp_forward_cached(params, x, keep=False)  # which checks ``x``
+    return y[0] if np.ndim(x) == 1 else y
 
 
 def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,

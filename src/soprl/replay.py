@@ -219,46 +219,43 @@ class SumTree:
         """
         slots = np.asarray(slots, dtype=np.int64)
         raw = np.asarray(raw_priorities, dtype=np.float64)
-        if slots.size == raw.size == 1 and self.writes + 1 < self.rebuild_every:
-            # the max-priority insert of every env step: the same checks in
-            # the same order, on Python scalars
-            slot, high = slots.item(), raw.item()
-            if not 0 <= slot < self.capacity:
-                raise IndexError("slot out of range")
-            if not math.isfinite(high):
-                raise ValueError("priority not finite")
-            if high < self.priority_floor:
-                raise ValueError("priority below floor")
-            value = (raw ** self.beta1).item()  # numpy's power, as a batch write's
-            if not math.isfinite(value):
-                raise ValueError("priority ** beta1 not finite")
-            self.max_raw_priority = max(self.max_raw_priority, high)
-            heap = memoryview(self._heap)  # indexes to and from Python floats
-            i = self.n_leaves + slot
-            heap[i] = value
-            self.writes += 1
-            while i > 1:
-                value += heap[i ^ 1]
-                i >>= 1
-                heap[i] = value
-            return
-        slots, raw = np.atleast_1d(slots).ravel(), np.atleast_1d(raw).ravel()
-        if slots.size and (slots.min() < 0 or slots.max() >= self.capacity):
+        # a one-slot write, the insert of every env step, runs on Python scalars
+        one = slots.size == raw.size == 1 and self.writes + 1 < self.rebuild_every
+        if one:
+            first = last = slots.item()
+            low = high = raw.item()
+        else:
+            slots, raw = np.atleast_1d(slots).ravel(), np.atleast_1d(raw).ravel()
+            first, last = (slots.min(), slots.max()) if slots.size else (0, 0)
+        if first < 0 or last >= self.capacity:
             raise IndexError("slot out of range")
         if raw.size != 1 and raw.size != slots.size:
             raise ValueError(f"{raw.size} priorities for {slots.size} slots")
-        if raw.size:
+        if not raw.size:
+            return  # past the count check, no slot either
+        if not one:
             low, high = float(raw.min()), float(raw.max())  # NaN reaches both
-            if not (math.isfinite(low) and math.isfinite(high)):
-                raise ValueError("priority not finite")
-            if low < self.priority_floor:
-                raise ValueError("priority below floor")
-            stored = raw ** self.beta1
-            if not math.isfinite(stored.max()):
-                raise ValueError("priority ** beta1 not finite")
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("priority not finite")
+        if low < self.priority_floor:
+            raise ValueError("priority below floor")
+        stored = raw ** self.beta1  # numpy's power on both paths
+        top = stored.item() if one else stored.max()
+        if not math.isfinite(top):
+            raise ValueError("priority ** beta1 not finite")
         if not slots.size:
             return
         self.max_raw_priority = max(self.max_raw_priority, high)
+        if one:
+            heap = memoryview(self._heap)  # indexes to and from Python floats
+            i = self.n_leaves + first
+            heap[i] = top
+            self.writes += 1
+            while i > 1:
+                top += heap[i ^ 1]
+                i >>= 1
+                heap[i] = top
+            return
         heap = self._heap
         j = slots + self.n_leaves
         heap[j] = stored
@@ -303,7 +300,12 @@ class SumTree:
             left_sum *= right
             targets -= left_sum
             j += right
-        return j - self.n_leaves
+        slots = j - self.n_leaves
+        # rounding can carry a target past the last positive leaf onto an
+        # empty one: that draw takes the nearest positive leaf before it
+        for k in np.flatnonzero(heap[j] == 0.0):
+            slots[k] = np.flatnonzero(self.leaf_values()[:slots[k]] > 0.0)[-1]
+        return slots
 
     def probabilities(self) -> np.ndarray:
         return self.leaf_values() / self.total
@@ -322,14 +324,19 @@ def per_sample(tree: SumTree, buffer: ReplayBuffer, batch: int,
     """Priority-proportional batch with importance-sampling weights.
 
     w_i = (1 / (size * P(i)))^beta2, optionally normalized by the batch max.
+    A batch whose largest weight is not finite is refused.
     """
     _require_nonempty(buffer)
     slots = tree.sample_slots(batch, rng)
     leaf = tree.leaf_values()[slots]
     p = leaf / tree.total
-    weights = (1.0 / (buffer.size * p)) ** tree.beta2
+    with np.errstate(over="ignore", divide="ignore"):  # refused below instead
+        weights = (1.0 / (buffer.size * p)) ** tree.beta2
+    largest = np.max(weights)
+    if not math.isfinite(largest):
+        raise ValueError(f"beta2: importance weights overflow at beta2={tree.beta2}")
     if normalize_weights:
-        weights = weights / np.max(weights)
+        weights = weights / largest
     return buffer.gather(slots), slots, weights
 
 

@@ -255,13 +255,21 @@ class TestBoundsAndNoise:
         for sigma in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="^sigma: must be finite and > 0"):
                 AgentConfig(sigma=sigma)
-        assert not AgentConfig(variant="no_smoothing").smooths_targets
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             ActionBounds(low=np.array([1.0]), high=np.array([0.0]))
         with pytest.raises(ValueError):
             ActionBounds.symmetric(0.0, 1)
+
+    def test_bounds_own_read_only_copies(self):
+        low, high = np.array([-1.0]), np.array([1.0])
+        b = ActionBounds(low, high)
+        low[0], high[0] = 5.0, 6.0  # the caller's arrays, not the box
+        assert (b.low.tolist(), b.high.tolist(), b.scale.tolist()) == ([-1.0], [1.0], [1.0])
+        for field in (b.low, b.high, b.center, b.half_range):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.0
 
     def test_asymmetric_bounds_refuse_tanh_scale(self):
         b = ActionBounds(low=np.array([0.0]), high=np.array([2.0]))

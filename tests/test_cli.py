@@ -55,6 +55,8 @@ class TestRunCommand:
     (["run", "--sigma", "-0.1"], "sigma"), (["run", "--eta0", "1.5"], "eta0"),
     (["run", "--config", "missing.cfg"], "config"),
     (["analyze", "counts", "--scheme", "ere_full", "--eta", "1.5"], "eta"),
+    (["analyze", "counts", "--scheme", "uniform_full", "--buffer", "3", "--updates", "2",
+      "--trials", "2", "--eta", "7"], "eta"),
     (["analyze", "counts", "--scheme", "uniform_empty", "--buffer", "50",
       "--updates", "60"], "updates"),
     (["analyze", "counts", "--scheme", "uniform_full", "--trials", "0"], "trials"),

@@ -92,6 +92,14 @@ class TestInterface:
     def test_spec_describe_mentions_name(self):
         assert "pointmass1d" in make_env("pointmass1d").spec.describe()
 
+    def test_specs_are_shared_read_only_class_constants(self):
+        for name in env_names():
+            env = make_env(name)
+            assert "__init__" not in vars(type(env))
+            assert env.spec is type(env).spec is make_env(name).spec
+            with pytest.raises(ValueError, match="read-only"):
+                env.spec.bounds.high[0] = 1.0
+
 
 class TestBoundaryLure:
     def test_bonus_only_early_and_near_bound(self):

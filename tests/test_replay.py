@@ -1,8 +1,9 @@
 import bisect
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soprl.agent import AgentConfig
@@ -644,6 +645,32 @@ class TestDescent:
         assert tree.sample_slots(1, FixedTargets([fraction])) == [slot]
         assert where_descent(tree, 1, FixedTargets([fraction])) == [slot]
 
+    @pytest.mark.parametrize("capacity", [3, 8])
+    def test_target_rounded_past_the_last_leaf_draws_it(self, capacity):
+        # the target rounds to 1.7 and, less the root's left sum 0.6, to 1.1:
+        # equal to leaf 2, so the descent would step right onto empty slot 3
+        tree = SumTree(capacity, beta1=1.0)
+        tree.set_raw(np.arange(3), np.array([0.1, 0.5, 1.1]))
+        top = FixedTargets([np.nextafter(1.0, 0.0)])
+        assert tree.sample_slots(1, top).tolist() == [2]
+        buf = ReplayBuffer(capacity, 1, 1)
+        fill(buf, 3)
+        _, slots, weights = per_sample(tree, buf, 1, top)
+        assert slots.tolist() == [2] and np.isfinite(weights).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(1e-6, 1e3), st.integers(1, 20).map(lambda k: k / 10)),
+                    min_size=1, max_size=300),
+           st.integers(0, 300), st.sampled_from([0.4, 1.0]))
+    @example([0.1, 0.5, 1.1], 0, 1.0)
+    @example([0.1, 0.5, 1.1], 5, 1.0)
+    def test_top_target_draws_a_written_slot(self, raw, empty, beta1):
+        # the first len(raw) slots of a tree with ``empty`` more are written
+        tree = SumTree(len(raw) + empty, beta1=beta1)
+        tree.set_raw(np.arange(len(raw)), np.array(raw))
+        [slot] = tree.sample_slots(1, FixedTargets([np.nextafter(1.0, 0.0)]))
+        assert slot < len(raw) and tree.leaf_values()[slot] > 0.0
+
 
 class TestPerSampling:
     def test_probabilities_follow_priority_ratio(self):
@@ -668,6 +695,16 @@ class TestPerSampling:
                                        normalize_weights=False)
         p = tree.leaf_values()[slots] / tree.total
         np.testing.assert_allclose(weights, (1.0 / (8 * p)) ** 0.5)
+
+    def test_overflowing_weights_refused_naming_beta2(self):
+        buf = ReplayBuffer(8, 1, 1)
+        fill(buf, 8)
+        tree = SumTree(8, beta1=1.0, beta2=2000.0)
+        tree.set_raw(np.arange(8), np.linspace(1, 2, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="^beta2: "):
+                per_sample(tree, buf, 16, np.random.default_rng(0))
 
     def test_empty_buffer_rejected(self):
         tree = SumTree(8)
