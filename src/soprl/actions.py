@@ -19,14 +19,15 @@ class ActionBounds:
     """Per-dimension action box, held as read-only float64 copies.
 
     ``low``/``high`` feed the inverting-gradients path and clipping; the
-    symmetric half-range ``scale`` feeds tanh squashing.
+    half range feeds tanh squashing.  A box is a value: it compares and
+    hashes by the floats of ``low`` and ``high``.
     """
 
-    low: np.ndarray
-    high: np.ndarray
+    low: np.ndarray = field(compare=False)
+    high: np.ndarray = field(compare=False)
     center: np.ndarray = field(init=False, repr=False, compare=False)
     half_range: np.ndarray = field(init=False, repr=False, compare=False)
-    _symmetric: bool = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         low = np.atleast_1d(np.array(self.low, dtype=np.float64))  # a copy
@@ -40,8 +41,7 @@ class ActionBounds:
         for name, value in (("low", low), ("high", high), ("center", center), ("half_range", m)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_symmetric",
-                           not np.any(np.abs(center) > 1e-12 * np.maximum(m, 1.0)))
+        object.__setattr__(self, "_key", (tuple(low.tolist()), tuple(high.tolist())))
 
     @classmethod
     def symmetric(cls, scale: float | np.ndarray, dim: int) -> "ActionBounds":
@@ -49,13 +49,6 @@ class ActionBounds:
         if not np.all(m > 0):
             raise ValueError("scale must be positive")
         return cls(low=-m, high=m)
-
-    @property
-    def scale(self) -> np.ndarray:
-        """Symmetric half-range M (read-only); only meaningful for tanh squashing."""
-        if not self._symmetric:
-            raise ValueError("tanh squashing requires symmetric bounds")
-        return self.half_range
 
 
 def _mean_abs(x: np.ndarray) -> np.ndarray:
@@ -119,18 +112,18 @@ def _normalize_vjp(mu: np.ndarray, v: np.ndarray, g: np.ndarray,
 
 
 def squash(mu: np.ndarray, noise: np.ndarray, bounds: ActionBounds) -> np.ndarray:
-    """a = M * tanh(mu + noise); evaluation mode passes zero noise."""
+    """a = M * tanh(mu + noise) on a symmetric box; evaluation mode passes zero noise."""
     mu = np.asarray(mu, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if mu.shape != noise.shape:
         raise ValueError(f"mu shape {mu.shape} != noise shape {noise.shape}")
-    return bounds.scale * np.tanh(mu + noise)
+    return bounds.half_range * np.tanh(mu + noise)
 
 
 def squash_grad(u: np.ndarray, bounds: ActionBounds) -> np.ndarray:
     """d(M tanh u)/du, used to chain the policy objective through squash."""
     t = np.tanh(np.asarray(u, dtype=np.float64))
-    return bounds.scale * (1.0 - t * t)
+    return bounds.half_range * (1.0 - t * t)
 
 
 def invert_gradients(grad_p: np.ndarray, p: np.ndarray,
@@ -185,12 +178,12 @@ def squashed_policy_entropy(mu: np.ndarray, sigma: float, bounds: ActionBounds,
     rng = np.random.Generator(np.random.PCG64(seed))
     u = mu + sigma * rng.standard_normal((n_samples, k))
     h_u = 0.5 * k * np.log(2.0 * np.pi * np.e * sigma * sigma)
-    correction = np.sum(np.log(bounds.scale)) + np.sum(_log_sech2(u), axis=1)
+    correction = np.sum(np.log(bounds.half_range)) + np.sum(_log_sech2(u), axis=1)
     return float(h_u + np.mean(correction))
 
 
 class TanhHead:
-    """Normalize (optionally) -> a = M tanh(h + noise).
+    """Normalize (optionally) -> a = M tanh(h + noise), on a box symmetric about 0.
 
     Noise is added in the tanh input's own units, so its unit is 1.
     """
@@ -198,7 +191,8 @@ class TanhHead:
     noise_unit = 1.0
 
     def __init__(self, bounds: ActionBounds, normalize: bool):
-        _ = bounds.scale  # raises early when bounds are asymmetric
+        if np.any(np.abs(bounds.center) > 1e-12 * np.maximum(bounds.half_range, 1.0)):
+            raise ValueError("tanh squashing requires symmetric bounds")
         self.bounds = bounds
         self.normalize = normalize
 

@@ -315,6 +315,7 @@ def pointmass_runs():
     return results, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_07_learning_vs_dp_oracle(pointmass_runs):
     results, elapsed = pointmass_runs
     gaps = [abs(r["agent"] - r["oracle"]) / abs(r["oracle"]) for r in results]
@@ -331,6 +332,7 @@ def test_criterion_07_learning_vs_dp_oracle(pointmass_runs):
                 "learning within the reachable class)")
 
 
+@pytest.mark.slow
 def test_supplementary_learning_reaches_policy_class_optimum(pointmass_runs):
     results, _ = pointmass_runs
     gaps = [abs(r["agent"] - r["reachable"]) / abs(r["reachable"]) for r in results]
@@ -357,6 +359,7 @@ def lure_runs():
     return out, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_direction(lure_runs):
     runs, elapsed = lure_runs
     tail_sat = {}

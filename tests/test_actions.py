@@ -266,19 +266,47 @@ class TestBoundsAndNoise:
         low, high = np.array([-1.0]), np.array([1.0])
         b = ActionBounds(low, high)
         low[0], high[0] = 5.0, 6.0  # the caller's arrays, not the box
-        assert (b.low.tolist(), b.high.tolist(), b.scale.tolist()) == ([-1.0], [1.0], [1.0])
+        assert (b.low.tolist(), b.high.tolist(), b.half_range.tolist()) == ([-1.0], [1.0], [1.0])
         for field in (b.low, b.high, b.center, b.half_range):
             with pytest.raises(ValueError, match="read-only"):
                 field[0] = 0.0
 
-    def test_asymmetric_bounds_refuse_tanh_scale(self):
+    def test_tanh_head_refuses_an_asymmetric_box(self):
         b = ActionBounds(low=np.array([0.0]), high=np.array([2.0]))
-        with pytest.raises(ValueError):
-            _ = b.scale
+        with pytest.raises(ValueError, match="^tanh squashing requires symmetric bounds$"):
+            TanhHead(b, normalize=True)
+        # the same tolerance as before: a center within 1e-12 * max(M, 1) of 0
+        TanhHead(ActionBounds([-1.0], [1.0 + 1e-12]), normalize=True)
+        with pytest.raises(ValueError, match="symmetric"):
+            TanhHead(ActionBounds([-1.0], [1.0 + 4e-12]), normalize=True)
 
-    def test_scale_is_the_half_range_and_read_only(self):
+    def test_tanh_head_squashes_to_the_read_only_half_range(self):
         b = ActionBounds(low=np.array([-0.5, -2.0]), high=np.array([0.5, 2.0]))
-        assert np.array_equal(b.scale, [0.5, 2.0])
-        assert b.scale is b.scale  # worked out once, at construction
+        assert np.array_equal(b.half_range, [0.5, 2.0])
+        assert b.half_range is b.half_range  # worked out once, at construction
         with pytest.raises(ValueError):
-            b.scale[0] = 1.0
+            b.half_range[0] = 1.0
+        a = TanhHead(b, normalize=False).action(np.full(2, 3.0), np.zeros(2))
+        assert np.array_equal(a, b.half_range * np.tanh(3.0))
+
+
+class TestBoundsAreValues:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_boxes_compare_and_hash_alike(self, dim):
+        a = ActionBounds.symmetric(0.1, dim)
+        b = ActionBounds(np.full(dim, -0.1), [0.1] * dim)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "box"}[b] == "box"
+
+    def test_negative_zero_bound_equals_zero(self):
+        a = ActionBounds([-0.0, -1.0], [1.0, 1.0])
+        b = ActionBounds([0.0, -1.0], [1.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+
+    def test_different_boxes_differ(self):
+        box = ActionBounds.symmetric(0.1, 2)
+        for other in (ActionBounds.symmetric(0.2, 2), ActionBounds.symmetric(0.1, 1),
+                      ActionBounds([-0.1, -0.1], [0.1, 0.2]),
+                      ActionBounds([-0.2, -0.1], [0.1, 0.1])):
+            assert box != other
+        assert len({box, ActionBounds.symmetric(0.2, 2), ActionBounds.symmetric(0.1, 2)}) == 2

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from soprl.envs import BoundaryLure, PointMass1D, dp_oracle, env_names, make_env
+from soprl.actions import ActionBounds
+from soprl.envs import (BoundaryLure, EnvSpec, PointMass1D, dp_oracle, env_names,
+                        make_env)
 
 
 class TestInterface:
@@ -99,6 +103,18 @@ class TestInterface:
             assert env.spec is type(env).spec is make_env(name).spec
             with pytest.raises(ValueError, match="read-only"):
                 env.spec.bounds.high[0] = 1.0
+
+    def test_specs_compare_and_hash_by_value(self):
+        specs = {}
+        for name in env_names():
+            spec = make_env(name).spec
+            fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+            fields["bounds"] = ActionBounds(spec.bounds.low.copy(), spec.bounds.high.copy())
+            rebuilt = EnvSpec(**fields)
+            assert rebuilt is not spec and rebuilt == spec and hash(rebuilt) == hash(spec)
+            specs[spec] = name
+            assert specs[rebuilt] == name
+        assert len(specs) == len(env_names())
 
 
 class TestBoundaryLure:
