@@ -158,9 +158,7 @@ class SopAgent:
         """One Adam step on each critic; returns the loss and per-sample |td|."""
         cfg = self.cfg
         n = targets.shape[0]
-        # unweighted, the loss leaves out w = 1: 1.0 * x == x bit for bit
-        w = None if is_weights is None else np.asarray(is_weights)
-        two_w = 2.0 if w is None else 2.0 * w
+        w = 1.0 if is_weights is None else np.asarray(is_weights)
         q_in = np.concatenate([batch["states"], batch["actions"]], axis=1)
         abs_errs = []
         total_loss = 0.0
@@ -168,11 +166,11 @@ class SopAgent:
             pred, cache = nets.mlp_forward_cached(critic.params, q_in)
             err = pred[:, 0] - targets
             abs_errs.append(np.abs(err))
-            loss = _mean((err if w is None else w * err) * err)
+            loss = _mean((w * err) * err)
             if not math.isfinite(loss):
                 raise FloatingPointError("non-finite Q loss")
             total_loss += loss
-            grad_out = (two_w * err / n)[:, None]
+            grad_out = (2.0 * w * err / n)[:, None]
             nets.mlp_backward_cached(critic.params, cache, grad_out, out=critic.grads)
             nets.adam_step(critic, cfg.lr)
         td = 0.5 * (abs_errs[0] + abs_errs[1]) if len(abs_errs) == 2 else abs_errs[0]
@@ -312,7 +310,7 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
             else:
                 a = agent.act(s, mode="explore")
             s2, r, done = env.step(a)
-            sampler.pushed(buffer.push(Transition(s, a, r, s2, done)))
+            buffer.push(Transition(s, a, r, s2, done))
             s = s2
             ep_return += r
             ep_len += 1

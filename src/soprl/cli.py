@@ -58,7 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         summary = run_experiment(cfg)  # refuses an unwritable out before training
     except ConfigError as exc:
         return _config_error(exc)
-    except OSError as exc:  # only the aggregate's write raises it; seeds catch theirs
+    except (OSError, ValueError) as exc:  # only the aggregate's write; seeds catch theirs
         print(f"aggregate not written: {exc}", file=sys.stderr)
         return 1
     for seed in cfg.seeds:

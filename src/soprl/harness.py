@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -156,6 +157,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _require_finite(step: int, fields: dict[str, object]) -> None:
+    """Refuse a row holding a NaN or infinite float, naming its column."""
+    for column, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{column}: {value!r} at step {step} is not finite")
+
+
 @contextmanager
 def _replacing(path: str | Path) -> Iterator[TextIO]:
     """A new text file beside ``path``, moved over it once the block is done.
@@ -186,8 +194,9 @@ def write_seed_csv(path: Path, seed: int, record: TrainRecord) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in record.rows:
-            writer.writerow([row.step, seed,
-                             *(_fmt(getattr(row, c)) for c in CSV_COLUMNS[2:])])
+            fields = {c: getattr(row, c) for c in CSV_COLUMNS[2:]}
+            _require_finite(row.step, fields)
+            writer.writerow([row.step, seed, *map(_fmt, fields.values())])
 
 
 def write_aggregate_csv(path: Path, records: dict[int, TrainRecord]) -> None:
@@ -200,7 +209,9 @@ def write_aggregate_csv(path: Path, records: dict[int, TrainRecord]) -> None:
         writer.writerow(AGGREGATE_COLUMNS)
         for step in sorted(by_step):
             vals = np.array(by_step[step])
-            writer.writerow([step, _fmt(float(vals.mean())), _fmt(float(vals.std()))])
+            fields = dict(zip(AGGREGATE_COLUMNS[1:], (float(vals.mean()), float(vals.std()))))
+            _require_finite(step, fields)
+            writer.writerow([step, *map(_fmt, fields.values())])
 
 
 @dataclass
@@ -212,10 +223,11 @@ class ExperimentSummary:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Train every seed independently and emit per-seed plus aggregate CSVs.
 
-    A seed that fails to train or to write its CSV is reported in the
-    summary and on stderr; the remaining seeds still run.  The aggregate
-    covers the seeds that did not fail, and is not written when every seed
-    fails.
+    Each seed trains with numpy's overflow, invalid and divide-by-zero
+    errors raised, not warned, and no CSV takes a NaN or infinite value.  A
+    seed that fails to train or to write its CSV is reported in the summary
+    and on stderr; the remaining seeds still run.  The aggregate covers the
+    seeds that did not fail, and is not written when every seed fails.
     """
     summary = ExperimentSummary()
     out_dir = Path(cfg.out) if cfg.out else None
@@ -228,7 +240,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     for seed in cfg.seeds:
         env = make_env(cfg.env)
         try:
-            record, _ = train(env, cfg.agent, cfg.steps,
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                record, _ = train(env, cfg.agent, cfg.steps,
                                   derive_seed(seed, "run"),
                                   eval_interval=cfg.eval_interval,
                                   eval_rollouts=cfg.eval_rollouts,

@@ -219,7 +219,7 @@ class SumTree:
         """
         slots = np.asarray(slots, dtype=np.int64)
         raw = np.asarray(raw_priorities, dtype=np.float64)
-        # a one-slot write, the insert of every env step, runs on Python scalars
+        # a one-slot write, a per-step insert made by hand, runs on Python scalars
         one = slots.size == raw.size == 1 and self.writes + 1 < self.rebuild_every
         if one:
             first = last = slots.item()
@@ -466,9 +466,6 @@ class Sampler:
         self.buffer = buffer
         self.tracker = PerfTracker()
 
-    def pushed(self, slot: int) -> None:
-        pass
-
     def episode_done(self, env_steps: int, ep_return: float) -> None:
         self.tracker.update(env_steps, ep_return, self.cfg.buffer_capacity)
 
@@ -507,9 +504,18 @@ class PerSampler(Sampler):
         super().__init__(cfg, buffer)
         self.tree = SumTree(buffer.capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2,
                             priority_floor=cfg.per_priority_floor)
+        self._env_steps = 0  # at the previous episode_done
 
-    def pushed(self, slot: int) -> None:  # a new slot gets the largest priority yet
-        self.tree.set_raw(np.array([slot]), np.array([self.tree.max_raw_priority]))
+    def episode_done(self, env_steps: int, ep_return: float) -> None:
+        """Give the episode's new slots the largest priority yet, in one write.
+
+        Nothing draws during an episode and only ``learned`` raises the
+        maximum, so these are the leaves one write per step would leave."""
+        new = min(env_steps - self._env_steps, self.buffer.capacity)
+        self._env_steps = env_steps
+        self.tree.set_raw(self.buffer.recent_slot(np.arange(new)),
+                          np.array([self.tree.max_raw_priority]))
+        super().episode_done(env_steps, ep_return)
 
     def draw(self, k: int, ep_len: int, rng: np.random.Generator) -> tuple:
         return per_sample(self.tree, self.buffer, self.cfg.batch_size, rng,

@@ -470,6 +470,22 @@ class TestTrain:
         assert updates == 150  # the three episodes after the warmup episode
         assert len(calls) == (episodes if owner is soprl.replay.PerfTracker else updates)
 
+    def test_per_writes_new_slots_once_per_episode(self, monkeypatch):
+        # a 40-slot ring under 50-step episodes: the last one is cut to 30
+        writes = []
+        orig = soprl.replay.SumTree.set_raw
+
+        def spy(tree, slots, raw_priorities):
+            writes.append((np.size(slots), np.size(raw_priorities)))
+            return orig(tree, slots, raw_priorities)
+
+        monkeypatch.setattr(soprl.replay.SumTree, "set_raw", spy)
+        cfg = desk_cfg(sampler="per", buffer_capacity=40)
+        _, agent = train(make_env("pointmass1d"), cfg, 130, seed=3, eval_interval=1000)
+        batch = (cfg.batch_size, cfg.batch_size)
+        assert agent.critics[0].t == 80  # no update after the warmup episode
+        assert writes == [(40, 1), (40, 1), *[batch] * 50, (30, 1), *[batch] * 30]
+
     def test_per_and_exp_samplers_run(self):
         for sampler in ("per", "exp"):
             env = make_env("pointmass1d")

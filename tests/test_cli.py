@@ -199,7 +199,6 @@ def test_counts_call_works_out_each_window_once(tmp_path, monkeypatch):
     assert asked == 2 * list(range(1, 21))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_run_where_every_seed_fails_writes_no_aggregate(tmp_path, monkeypatch, capsys):
     # lr = 1e300 passes the config checks, and the first update overflows
     monkeypatch.chdir(tmp_path)
@@ -209,6 +208,27 @@ def test_run_where_every_seed_fails_writes_no_aggregate(tmp_path, monkeypatch, c
     assert "seed 0: FAILED (" in out
     assert "CSV output in" not in out
     assert not (tmp_path / "o" / "aggregate.csv").exists()
+
+
+@pytest.mark.parametrize("flags, failure", [
+    (["--sigma", "1e308"], "FloatingPointError: overflow encountered in multiply"),
+    (["--sigma", "1e308", "--variant", "sop_ig"],
+     "FloatingPointError: overflow encountered in multiply"),
+    # Python-float arithmetic overflows with no numpy error: the CSV refuses it
+    (["--sigma", "1e154"], "ValueError: entropy_estimate: inf at step 100 is not finite"),
+    (["--lr", "1e200"], "FloatingPointError: overflow encountered in "),
+])
+def test_run_that_goes_non_finite_fails_the_seed_and_writes_no_csv(flags, failure, tmp_path):
+    # a subprocess, so that numpy warnings reach stderr as a CLI run shows them
+    proc = subprocess.run([sys.executable, "-m", "soprl", "run", "--env", "pointmass1d",
+                           "--steps", "150", "--warmup", "50", "--batch", "8", "--hidden", "4",
+                           "--buffer", "100", "--eval-interval", "100",
+                           "--out", str(tmp_path), *flags],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[1].startswith(f"seed 0 failed: {failure}")
+    assert list(tmp_path.iterdir()) == []  # no CSV, no aggregate, no temp file
 
 
 def test_run_where_a_seed_csv_cannot_be_written_fails_only_that_seed(tmp_path, capsys):

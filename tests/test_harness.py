@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import os
 from pathlib import Path
@@ -194,6 +195,23 @@ class TestRunExperiment:
         with pytest.raises(OSError, match="No space left"):
             if target == "seed_1.csv":
                 H.write_seed_csv(tmp_path / target, 1, summary.records[1])
+            else:
+                H.write_aggregate_csv(tmp_path / target, summary.records)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("target, column", [("seed_1.csv", "entropy_estimate"),
+                                                ("aggregate.csv", "eval_return_mean")])
+    def test_csv_refuses_a_non_finite_value_and_keeps_the_previous_file(
+            self, target, column, tmp_path):
+        import soprl.harness as H
+
+        summary = run_experiment(parse_config(tiny_overrides(out=str(tmp_path))))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        record = summary.records[1]
+        record.rows[-1] = dataclasses.replace(record.rows[-1], **{column: float("nan")})
+        with pytest.raises(ValueError, match=f"^{column}: nan at step 200 is not finite$"):
+            if target == "seed_1.csv":
+                H.write_seed_csv(tmp_path / target, 1, record)
             else:
                 H.write_aggregate_csv(tmp_path / target, summary.records)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

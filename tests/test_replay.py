@@ -954,16 +954,17 @@ def fake_td(batch, k):
     return 2.0 * np.abs(np.sin(batch["rewards"] + 0.1 * k))
 
 
-def replay_by_hand(cfg, rng):
+def replay_by_hand(cfg, rng, rebuild_every):
     """The oracle: the sampler functions called one by one, in the order
-    train() called them before the sampler objects."""
+    train() called them before the sampler objects, with PER's new-slot
+    priority written on every env step."""
     buffer = ReplayBuffer(cfg.buffer_capacity, 1, 1)
     tracker = PerfTracker()
     ere_cfg = cfg.ere_config()
     tree = None
     if cfg.sampler == "per":
         tree = SumTree(cfg.buffer_capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2,
-                       priority_floor=cfg.per_priority_floor)
+                       priority_floor=cfg.per_priority_floor, rebuild_every=rebuild_every)
     eta = cfg.eta0
     draws, etas, steps = [], [], 0
     for ep_len, ep_return in EPISODES:
@@ -994,13 +995,15 @@ def replay_by_hand(cfg, rng):
     return draws, etas, tree, buffer
 
 
-def replay_by_object(cfg, rng):
+def replay_by_object(cfg, rng, rebuild_every):
     buffer = ReplayBuffer(cfg.buffer_capacity, 1, 1)
     sampler = SAMPLER_CLASSES[cfg.sampler](cfg, buffer)
+    if cfg.sampler == "per":
+        sampler.tree.rebuild_every = rebuild_every
     draws, etas, steps = [], [], 0
     for ep_len, ep_return in EPISODES:
         for _ in range(ep_len):
-            sampler.pushed(buffer.push(trans(steps)))
+            buffer.push(trans(steps))
             steps += 1
         sampler.episode_done(steps, ep_return)
         for k in range(1, ep_len + 1):
@@ -1015,12 +1018,16 @@ def same_array(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("sampler", list(SAMPLER_CLASSES))
-def test_sampler_object_replays_the_functions_bit_for_bit(sampler):
+# a 300-write budget rebuilds the trees mid-run: inside an episode's one-slot
+# inserts by hand, at an episode's end by object
+@pytest.mark.parametrize("sampler, rebuild_every",
+                         [pytest.param(s, 100_000, id=s) for s in SAMPLER_CLASSES]
+                         + [pytest.param("per", 300, id="per-rebuild300")])
+def test_sampler_object_replays_the_functions_bit_for_bit(sampler, rebuild_every):
     cfg = replay_cfg(sampler)
     rng_hand, rng_obj = np.random.default_rng(17), np.random.default_rng(17)
-    hand, hand_etas, hand_tree, hand_buffer = replay_by_hand(cfg, rng_hand)
-    obj, obj_etas, obj_tree, obj_buffer = replay_by_object(cfg, rng_obj)
+    hand, hand_etas, hand_tree, hand_buffer = replay_by_hand(cfg, rng_hand, rebuild_every)
+    obj, obj_etas, obj_tree, obj_buffer = replay_by_object(cfg, rng_obj, rebuild_every)
     assert hand_buffer.cursor == obj_buffer.cursor != sum(n for n, _ in EPISODES)
     assert len(hand) == len(obj) == sum(n for n, _ in EPISODES)
     for (batch_h, slots_h, w_h), (batch_o, slots_o, w_o) in zip(hand, obj):
