@@ -89,21 +89,15 @@ def _normalize(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out, g, over
 
 
-def normalize_output_vjp(mu: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Backward pass of normalize_output at primal ``mu``.
+def _normalize_vjp(mu: np.ndarray, v: np.ndarray, g: np.ndarray,
+                   over: np.ndarray) -> np.ndarray:
+    """Backward pass of ``normalize_output`` at primal ``mu`` for cotangent
+    ``v``, given G = mean|mu_k| and the mask G > 1.
 
-    On the G > 1 branch, n_i = mu_i / G with G = mean|mu_k| gives
+    On the G > 1 branch, n_i = mu_i / G gives
     dL/dmu_j = v_j / G - (v . mu) sign(mu_j) / (K G^2); the subgradient of
     |.| at zero is taken as 0.  On the other branch the map is identity.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    g = _mean_abs(mu)
-    return _normalize_vjp(mu, np.asarray(grad_out, dtype=np.float64), g, g > 1.0)
-
-
-def _normalize_vjp(mu: np.ndarray, v: np.ndarray, g: np.ndarray,
-                   over: np.ndarray) -> np.ndarray:
-    """``normalize_output_vjp(mu, v)`` given G = mean|mu_k| and G > 1."""
     g_safe = np.where(over, g, 1.0)
     sign = np.sign(mu)
     vdotmu = np.add.reduce(v * mu, axis=-1, keepdims=True)
@@ -206,9 +200,10 @@ class TanhHead:
     def forward_vjp(self, mu: np.ndarray):
         """The action Q1 sees in the policy objective, and its VJP back to mu.
 
-        The normalization's mean magnitude and mask are worked out once and
-        serve both passes; the bits are those of ``normalize_output`` and
-        ``normalize_output_vjp``.
+        The normalization's mean magnitude G and mask G > 1 are worked out
+        once and serve both passes.  The forward's bits are those of
+        ``normalize_output``; the VJP is
+        v_j / G - (v . mu) sign(mu_j) / (K G^2) where G > 1, else v.
         """
         if self.normalize:
             mu = np.asarray(mu, dtype=np.float64)

@@ -122,15 +122,6 @@ def count_variances(scn: SamplingScenario) -> np.ndarray:
     return _window_sums(scn, lambda p: p * (1.0 - p))
 
 
-def retained_slice(scn: SamplingScenario) -> slice:
-    """Positions still in the buffer after the last update."""
-    if scn.start == "full" and scn.updates >= scn.buffer:
-        return slice(scn.updates, scn.n_positions)
-    if scn.start == "full":
-        return slice(scn.n_positions - scn.buffer, scn.n_positions)
-    return slice(max(0, scn.updates - scn.buffer), scn.updates)
-
-
 def empirical_counts(scn: SamplingScenario, trials: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo mean counts and the exact standard error of that mean.

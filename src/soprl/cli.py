@@ -52,7 +52,9 @@ def _config_error(message: object) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = {key: getattr(args, key) for key in config_defaults()}
+    # argparse reads the value of "--key=--" as an empty list, not as "--"
+    overrides = {key: "--" if getattr(args, key) == [] else getattr(args, key)
+                 for key in config_defaults()}
     try:
         cfg = parse_config(overrides, config_file=args.config)
         summary = run_experiment(cfg)  # refuses an unwritable out before training

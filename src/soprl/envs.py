@@ -1,4 +1,4 @@
-"""Toy continuous-control environments and an exact DP oracle.
+"""Toy continuous-control environments.
 
 All environments are deterministic given the reset seed, clip incoming
 actions to their bounds internally, and terminate only at the horizon.
@@ -139,62 +139,3 @@ def make_env(name: str) -> ToyEnv:
 def env_names() -> list[str]:
     return sorted(_REGISTRY)
 
-
-@dataclass
-class DpResult:
-    """Backward-induction solution: optimal undiscounted return per start state."""
-
-    state_grid: np.ndarray
-    v0: np.ndarray
-    mean_return: float
-
-    def value_at(self, x: np.ndarray | float) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self.state_grid.ndim == 1 and x.size == 1:
-            return float(np.interp(x[0], self.state_grid, self.v0))
-        # independent axes: total value is the sum of per-axis values
-        return float(sum(np.interp(xi, self.state_grid, self.v0) for xi in x))
-
-
-def _dp_pointmass_axis(spec: EnvSpec, state_res: int,
-                       action_res: int) -> tuple[np.ndarray, np.ndarray]:
-    """One axis of a point-mass task, whose reward is that axis's share of
-    the mean over ``spec.state_dim`` axes."""
-    grid = np.linspace(-1.0, 1.0, state_res)
-    acts = np.linspace(spec.bounds.low[0], spec.bounds.high[0], action_res)
-    reward_scale = 1.0 / spec.state_dim
-    v = np.zeros(state_res)
-    for _ in range(spec.horizon):
-        nxt = np.clip(grid[:, None] + acts[None, :], -1.0, 1.0)
-        reward = -reward_scale * nxt ** 2
-        future = np.interp(nxt.ravel(), grid, v).reshape(nxt.shape)
-        v = np.max(reward + future, axis=1)
-    return grid, v
-
-
-def dp_oracle(name: str, state_res: int = 513, action_res: int = 129) -> DpResult:
-    """Finite-horizon optimal return (gamma = 1) on a discretized grid.
-
-    The mean return averages the start-state value over the environment's
-    initial distribution (uniform on the state box for the point-mass
-    tasks, the fixed start for the lure task).  Odd resolutions put the
-    origin and the zero action exactly on the grids.  Horizons, bounds and
-    reward scales come from the environment's spec.
-    """
-    if state_res < 32 or action_res < 32:
-        raise ValueError("grid resolutions must be at least 32")
-    env = make_env(name)
-    spec = env.spec
-    if spec.name in ("pointmass1d", "pointmass2d"):
-        grid, v = _dp_pointmass_axis(spec, state_res, action_res)
-        return DpResult(grid, v, float(spec.state_dim * np.trapezoid(v, grid) / 2.0))
-    if spec.name == "boundarylure":
-        acts = np.linspace(spec.bounds.low[0], spec.bounds.high[0], action_res)
-        total = 0.0
-        for t in range(spec.horizon):
-            rewards = [env._transition(np.array([t / spec.horizon]), np.array([a]), t)[1]
-                       for a in acts]
-            total += max(rewards)
-        grid = np.array([0.0, 1.0])
-        return DpResult(grid, np.array([total, total]), total)
-    raise ValueError(f"no oracle for env '{spec.name}'")

@@ -114,14 +114,13 @@ def zeros_like_params(params: MlpParams) -> MlpParams:
     return MlpParams(params.weights, params.biases, np.zeros_like(params.flat))
 
 
-def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
+    if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != expected_dim:
         raise ValueError(f"{what} has shape {x.shape}, expected (*, {expected_dim})")
-    return x, squeeze
+    return x
 
 
 @dataclass
@@ -185,7 +184,7 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray, *,
     """Forward pass; the cache stays valid until the next cached forward of
     ``params``.  With ``keep=False`` the activations go to shared scratch
     instead, and the cache only lasts until the next pass of any network."""
-    x2d, _ = _as_batch(x, params.sizes[0], "input")
+    x2d = _as_batch(x, params.sizes[0], "input")
     rows = x2d.shape[0]
     kept = params._hidden_buffers(rows) if keep else None
     hidden, h = [], x2d
@@ -228,7 +227,7 @@ def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
 def _output_grad(params: MlpParams, cache: ForwardCache,
                  output_grad: np.ndarray) -> np.ndarray:
     """``output_grad`` as a batch with the cached forward's rows."""
-    g, _ = _as_batch(output_grad, params.sizes[-1], "output_grad")
+    g = _as_batch(output_grad, params.sizes[-1], "output_grad")
     if g.shape[0] != cache.x.shape[0]:
         raise ValueError("output_grad batch size does not match forward input")
     return g
@@ -284,87 +283,4 @@ def adam_step(net: TrainedNet, lr: float) -> None:
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * np.square(g)
     net.params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-
-def _kink_safe_units(params: MlpParams, x2d: np.ndarray,
-                     probe_step: float) -> list[np.ndarray]:
-    """Per-layer boolean mask over output units: safe to probe their coords.
-
-    A probe of size h may flip a ReLU unit whose pre-activation magnitude is
-    below 10*h, which invalidates the central-difference estimate.  A
-    coordinate of layer i feeds unit j of that layer directly and every
-    pre-activation further downstream, so it is safe when |z_i[:, j]| and all
-    deeper pre-activations clear the margin.  The output layer has no
-    downstream kinks and is always safe.  The forward pass keeps no
-    pre-activations, so they are recomputed here.
-    """
-    margin = 10.0 * probe_step
-    pre_activations, h = [], x2d
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        pre_activations.append(h @ w + b)
-        h = np.maximum(pre_activations[-1], 0.0)
-    unit_min = [np.min(np.abs(z), axis=0) for z in pre_activations]
-    layer_min = [float(np.min(m)) for m in unit_min]
-    masks = []
-    for i in range(params.n_layers):
-        width = params.weights[i].shape[1]
-        if i >= len(unit_min):
-            masks.append(np.ones(width, dtype=bool))
-            continue
-        deeper_ok = all(m >= margin for m in layer_min[i + 1:])
-        masks.append((unit_min[i] >= margin) & deeper_ok)
-    return masks
-
-
-def finite_diff_check(params: MlpParams, x: np.ndarray, probe_step: float,
-                      output_grad: np.ndarray | None = None,
-                      analytic: MlpParams | None = None,
-                      max_coords: int | None = None,
-                      rng: np.random.Generator | None = None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The objective is <output, output_grad> (cotangent defaults to ones).
-    Coordinates whose probe could cross a ReLU kink are skipped.  When
-    ``analytic`` is given it is compared instead of a fresh backward pass,
-    which lets tests inject corrupted gradients.  ``max_coords`` limits the
-    probes per tensor (random subset) for large nets.
-    """
-    if probe_step <= 0:
-        raise ValueError("probe_step must be positive")
-    x2d, _ = _as_batch(x, params.sizes[0], "input")
-    if output_grad is None:
-        output_grad = np.ones((x2d.shape[0], params.sizes[-1]))
-    if analytic is None:
-        _, cache = mlp_forward_cached(params, x2d)
-        analytic = mlp_backward_cached(params, cache, output_grad)
-    safe_units = _kink_safe_units(params, x2d, probe_step)
-
-    def objective() -> float:
-        return float(np.sum(mlp_forward(params, x2d) * output_grad))
-
-    worst = 0.0
-    for tensors in ("weights", "biases"):
-        for layer, (p, a) in enumerate(zip(getattr(params, tensors),
-                                           getattr(analytic, tensors))):
-            width = params.weights[layer].shape[1]
-            flat_p = p.reshape(-1)
-            flat_a = a.reshape(-1)
-            coords = np.arange(flat_p.size)
-            unit_of = coords % width if tensors == "weights" else coords
-            coords = coords[safe_units[layer][unit_of]]
-            if max_coords is not None and coords.size > max_coords:
-                if rng is None:
-                    rng = np.random.default_rng(0)
-                coords = rng.choice(coords, size=max_coords, replace=False)
-            for idx in coords:
-                orig = flat_p[idx]
-                flat_p[idx] = orig + probe_step
-                f_plus = objective()
-                flat_p[idx] = orig - probe_step
-                f_minus = objective()
-                flat_p[idx] = orig
-                numeric = (f_plus - f_minus) / (2.0 * probe_step)
-                denom = max(abs(flat_a[idx]), abs(numeric), 1e-12)
-                worst = max(worst, abs(flat_a[idx] - numeric) / denom)
-    return worst
 

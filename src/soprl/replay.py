@@ -307,9 +307,6 @@ class SumTree:
             slots[k] = np.flatnonzero(self.leaf_values()[:slots[k]] > 0.0)[-1]
         return slots
 
-    def probabilities(self) -> np.ndarray:
-        return self.leaf_values() / self.total
-
 
 def per_update_priorities(tree: SumTree, slots: np.ndarray,
                           td_errors: np.ndarray) -> None:

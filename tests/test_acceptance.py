@@ -26,12 +26,13 @@ from soprl import analysis, nets, replay
 from soprl.actions import (ActionBounds, clip_action, invert_gradients,
                            normalize_output, squashed_policy_entropy)
 from soprl.agent import AgentConfig, SopAgent, evaluate_policy, train
-from soprl.analysis import SamplingScenario, empirical_counts, expected_counts, retained_slice
-from soprl.envs import dp_oracle, make_env
+from soprl.analysis import SamplingScenario, empirical_counts, expected_counts
+from soprl.envs import make_env
 from soprl.harness import parse_config, run_experiment
 from soprl.replay import EreConfig, PerfTracker, ReplayBuffer, SumTree, Transition
 from soprl.seeds import derive_seed
 
+from oracles import dp_oracle, finite_diff_check, probabilities, retained_slice
 from test_actions import entropy_quadrature
 
 
@@ -74,10 +75,10 @@ def test_criterion_01_gradient_exactness():
     rng = np.random.default_rng(21)
     policy = nets.init_mlp(2, 64, 2, rng)
     qnet = nets.init_mlp(4, 64, 1, rng)
-    err_policy = nets.finite_diff_check(policy, rng.standard_normal((6, 2)), 1e-5,
-                                        max_coords=150, rng=rng)
-    err_q = nets.finite_diff_check(qnet, rng.standard_normal((6, 4)), 1e-5,
+    err_policy = finite_diff_check(policy, rng.standard_normal((6, 2)), 1e-5,
                                    max_coords=150, rng=rng)
+    err_q = finite_diff_check(qnet, rng.standard_normal((6, 4)), 1e-5,
+                              max_coords=150, rng=rng)
 
     # full differentiable chain: policy -> normalize -> tanh squash -> Q
     agent = SopAgent(2, 2, ActionBounds.symmetric(1.0, 2), desk_config(), seed=3)
@@ -230,7 +231,7 @@ def test_criterion_05_per_correctness():
 
     prio_tree = SumTree(1000, beta1=1.0)
     prio_tree.set_raw(np.arange(1000), np.random.default_rng(77).uniform(0.5, 3.0, 1000))
-    probs = prio_tree.probabilities()
+    probs = probabilities(prio_tree)
     draws = 1_000_000
     counts = np.zeros(1000)
     draw_rng = np.random.default_rng(63)

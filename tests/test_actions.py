@@ -6,8 +6,10 @@ from scipy import integrate
 
 from soprl.actions import (ActionBounds, TanhHead, clip_action,
                            invert_gradients, normalize_output,
-                           normalize_output_vjp, saturation_fraction, squash,
-                           squash_grad, squashed_policy_entropy)
+                           saturation_fraction, squash, squash_grad,
+                           squashed_policy_entropy)
+
+from oracles import normalize_output_vjp
 
 finite_vec = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=8)
 

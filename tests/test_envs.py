@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from soprl.actions import ActionBounds
-from soprl.envs import (BoundaryLure, EnvSpec, PointMass1D, dp_oracle, env_names,
-                        make_env)
+from soprl.envs import BoundaryLure, EnvSpec, PointMass1D, env_names, make_env
+
+from oracles import dp_oracle
 
 
 class TestInterface:

@@ -13,6 +13,8 @@ from soprl.replay import (EXP_SEGMENT, SAMPLER_CLASSES, EreConfig, PerfTracker,
                           per_update_priorities, sample_ere,
                           sample_exponential, sample_uniform)
 
+from oracles import probabilities
+
 
 def trans(i, state_dim=1, action_dim=1):
     return Transition(np.full(state_dim, float(i)), np.zeros(action_dim),
@@ -364,15 +366,15 @@ class TestSumTree:
     def test_all_equal_priorities_sample_uniformly(self):
         tree = SumTree(8, beta1=1.0)
         tree.set_raw(np.arange(8), np.ones(8))
-        probs = tree.probabilities()
+        probs = probabilities(tree)
         np.testing.assert_allclose(probs, 1.0 / 8)
 
     def test_doubling_a_priority_doubles_its_probability(self):
         tree = SumTree(10, beta1=1.0)
         tree.set_raw(np.arange(10), np.ones(10))
-        base = tree.probabilities().copy()
+        base = probabilities(tree).copy()
         tree.set_raw(np.array([3]), np.array([2.0]))
-        probs = tree.probabilities()
+        probs = probabilities(tree)
         ratio = (probs[3] / probs[0]) / (base[3] / base[0])
         assert ratio == pytest.approx(2.0, rel=1e-12)
 
@@ -404,7 +406,7 @@ class TestSumTree:
         per_update_priorities(tree, np.arange(6), np.zeros(6))
         np.testing.assert_allclose(tree.leaf_values(),
                                    tree.priority_floor ** 0.4)
-        np.testing.assert_allclose(tree.probabilities(), 1.0 / 6)
+        np.testing.assert_allclose(probabilities(tree), 1.0 / 6)
 
     def test_rebuild_triggered_by_write_budget(self):
         tree = SumTree(16, rebuild_every=10)
@@ -676,7 +678,7 @@ class TestPerSampling:
     def test_probabilities_follow_priority_ratio(self):
         tree = SumTree(2, beta1=1.0)
         tree.set_raw(np.arange(2), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(tree.probabilities(), [1 / 3, 2 / 3])
+        np.testing.assert_allclose(probabilities(tree), [1 / 3, 2 / 3])
 
     def test_is_weights_one_for_uniform_priorities(self):
         buf = ReplayBuffer(64, 1, 1)
@@ -720,7 +722,7 @@ class TestPerSampling:
         rng_p = np.random.default_rng(77)
         tree = SumTree(n, beta1=1.0)
         tree.set_raw(np.arange(n), rng_p.uniform(0.5, 3.0, n))
-        probs = tree.probabilities()
+        probs = probabilities(tree)
         draws = 1_000_000
         counts = np.zeros(n)
         rng = np.random.default_rng(63)
