@@ -116,18 +116,16 @@ class SopAgent:
     # -- acting ------------------------------------------------------------
 
     def policy_mu(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw policy output and the action head's noise-free center."""
+        """Raw policy output and the noise-free action it selects."""
         mu = nets.mlp_forward(self.policy.params, states)
-        return mu, self.head.center(mu)
+        center = self.head.center(mu)
+        return mu, self.head.action(center, np.zeros_like(center))
 
-    def act(self, state_vec: np.ndarray, mode: str = "explore") -> np.ndarray:
-        if mode not in ("explore", "evaluate"):
-            raise ValueError("mode must be 'explore' or 'evaluate'")
-        _, center = self.policy_mu(state_vec)
-        noise = np.zeros(self.action_dim)
-        if mode == "explore":
-            noise = ((self.cfg.sigma * self.head.noise_unit)
-                     * self.rng_explore.standard_normal(self.action_dim))
+    def act(self, state_vec: np.ndarray) -> np.ndarray:
+        """The exploring action: Gaussian noise added to the head's center."""
+        center = self.head.center(nets.mlp_forward(self.policy.params, state_vec))
+        noise = ((self.cfg.sigma * self.head.noise_unit)
+                 * self.rng_explore.standard_normal(self.action_dim))
         return self.head.action(center, noise)
 
     # -- updates -----------------------------------------------------------
@@ -236,7 +234,8 @@ class TrainRecord:
 
 def evaluate_policy(agent: SopAgent, env: ToyEnv, rollouts: int,
                     seed: int) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Deterministic rollouts with derived per-rollout seeds.
+    """Deterministic rollouts with derived per-rollout seeds, taking each
+    step's action from one ``policy_mu`` call.
 
     Returns (mean, population std) of the undiscounted returns plus the
     visited raw policy outputs / delivered actions for diagnostics.
@@ -250,9 +249,8 @@ def evaluate_policy(agent: SopAgent, env: ToyEnv, rollouts: int,
         starts.append(s.copy())
         total, done = 0.0, False
         while not done:
-            mu_raw, _ = agent.policy_mu(s)
+            mu_raw, a = agent.policy_mu(s)
             mus.append(mu_raw)
-            a = agent.act(s, mode="evaluate")
             acts.append(a)
             s, r, done = env.step(a)
             total += r
@@ -308,7 +306,7 @@ def train(env: ToyEnv, cfg: AgentConfig, total_steps: int, seed: int,
             if env_steps < cfg.warmup_steps:
                 a = agent.rng_warmup.uniform(spec.bounds.low, spec.bounds.high)
             else:
-                a = agent.act(s, mode="explore")
+                a = agent.act(s)
             s2, r, done = env.step(a)
             buffer.push(Transition(s, a, r, s2, done))
             s = s2

@@ -86,21 +86,40 @@ def config_defaults() -> dict[str, object]:
     return {**run, **{key: getattr(agent, f) for key, f in AGENT_KEYS.items()}}
 
 
-def _coerce(key: str, value: str, default):
-    """Parse a string to the type of the key's default."""
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _coerce(key: str, value: object, default):
+    """The value as the type of the key's default.
+
+    A string is parsed.  Any other value must have that type already, except
+    that an int serves for a float and a tuple or list of ints for the seeds.
+    """
     try:
+        if isinstance(value, str):
+            if key == "seeds":
+                return tuple(int(tok) for tok in value.split(",") if tok != "")
+            if isinstance(default, bool):
+                low = value.lower()
+                if low in ("1", "true", "yes", "on"):
+                    return True
+                if low in ("0", "false", "no", "off"):
+                    return False
+                raise ValueError(value)
+            return value if default is None else type(default)(value)
         if key == "seeds":
-            return tuple(int(tok) for tok in str(value).split(",") if tok != "")
-        if isinstance(default, bool):
-            low = str(value).lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
-        return str(value) if default is None else type(default)(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: cannot parse value '{value}'") from None
+            if isinstance(value, (tuple, list)) and all(map(_is_int, value)):
+                return tuple(value)
+        elif isinstance(default, bool):
+            if isinstance(value, bool):
+                return value
+        elif isinstance(default, (int, float)):
+            if _is_int(value) or isinstance(value, float) and isinstance(default, float):
+                return type(default)(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key}: cannot parse value '{value}'")
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -137,7 +156,7 @@ def parse_config(overrides: dict[str, object], config_file: str | Path | None = 
             continue
         if key not in defaults:
             raise ConfigError(f"{key}: unknown config key")
-        merged[key] = _coerce(key, val, defaults[key]) if isinstance(val, str) else val
+        merged[key] = _coerce(key, val, defaults[key])
     if "env" not in merged:
         raise ConfigError("env: required key missing")
     agent_values = {f: merged[key] for key, f in AGENT_KEYS.items() if key in merged}

@@ -7,8 +7,8 @@ import pytest
 import soprl.replay
 from soprl import nets
 from soprl.actions import ActionBounds
-from soprl.agent import (SAMPLERS, VARIANTS, AgentConfig, SopAgent, soft_update_targets,
-                         train)
+from soprl.agent import (SAMPLERS, VARIANTS, AgentConfig, SopAgent, evaluate_policy,
+                         soft_update_targets, train)
 from soprl.envs import PointMass1D, make_env
 
 
@@ -78,7 +78,7 @@ class TestAct:
     def test_evaluate_zero_policy_gives_zero_action(self):
         agent = make_agent()
         zero_params(agent.policy.params)
-        a = agent.act(np.array([0.7]), mode="evaluate")
+        a = agent.policy_mu(np.array([0.7]))[1]
         assert a[0] == 0.0
 
     def test_explore_reproducible_with_seeded_rng(self):
@@ -101,13 +101,32 @@ class TestAct:
     def test_ig_variant_clips_without_tanh(self):
         agent = make_agent(desk_cfg(variant="sop_ig"), scale=0.5)
         constant_net(agent.policy.params, 3.0)  # way outside the box
-        a = agent.act(np.array([0.0]), mode="evaluate")
+        a = agent.policy_mu(np.array([0.0]))[1]
         assert a[0] == 0.5
 
-    def test_invalid_mode_rejected(self):
+
+class TestEvaluatePolicy:
+    def test_one_policy_forward_per_step(self, monkeypatch):
         agent = make_agent()
-        with pytest.raises(ValueError):
-            agent.act(np.zeros(1), mode="test")
+        forward = nets.mlp_forward
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(params is agent.policy.params)
+            return forward(params, x)
+
+        monkeypatch.setattr(nets, "mlp_forward", counting_forward)
+        evaluate_policy(agent, make_env("pointmass1d"), rollouts=5, seed=0)
+        assert sum(calls) == 5 * PointMass1D.spec.horizon == 250
+
+    def test_needs_only_policy_mu(self):
+        class ZeroPolicy:  # the shape of perfbench's do-nothing agent
+            def policy_mu(self, state):
+                return np.zeros(1), np.zeros(1)
+
+        _, _, diag = evaluate_policy(ZeroPolicy(), make_env("pointmass1d"), rollouts=2, seed=0)
+        assert diag["actions"].shape == (2 * PointMass1D.spec.horizon, 1)
+        assert not diag["actions"].any()
 
 
 class TestComputeQTargets:

@@ -129,8 +129,17 @@ class TestConfigSurface:
         assert all(getattr(args, key) is not None for key in config_defaults())
 
     def test_non_string_overrides_pass_through(self):
-        cfg = parse_config({"env": "pointmass1d", "seeds": (1,), "hidden": 16})
-        assert cfg.seeds == (1,) and cfg.agent.hidden_dim == 16
+        cfg = parse_config({"env": "pointmass1d", "seeds": [1], "hidden": 16, "tau": 1,
+                            "walltime": True})
+        assert cfg.seeds == (1,) and cfg.agent.hidden_dim == 16 and cfg.walltime
+        assert cfg.agent.tau == 1.0 and isinstance(cfg.agent.tau, float)
+
+    @pytest.mark.parametrize("key, value", [("buffer", 2.5), ("hidden", True),
+                                            ("steps", True), ("buffer", [1]),
+                                            ("seeds", 5)])
+    def test_non_string_override_of_the_wrong_type_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: cannot parse value"):
+            parse_config({"env": "pointmass1d", key: value})
 
 
 class TestRunExperiment:
