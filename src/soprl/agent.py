@@ -112,6 +112,10 @@ class SopAgent:
         self.critics = tuple(nets.TrainedNet(q, q.copy()) for q in qs)
         self.head = (InvertingGradientsHead(bounds) if cfg.variant == "sop_ig"
                      else TanhHead(bounds, normalize=cfg.variant != "no_norm"))
+        # a noise variance that rounds to 0 has entropy log(0): refused before training
+        with np.errstate(all="ignore"):
+            if self.head.entropy(np.zeros((1, action_dim)), cfg.sigma, [0]) == -np.inf:
+                raise ValueError(f"sigma: {cfg.sigma!r} is too small for a finite entropy")
 
     # -- acting ------------------------------------------------------------
 

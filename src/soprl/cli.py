@@ -52,9 +52,7 @@ def _config_error(message: object) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # argparse reads the value of "--key=--" as an empty list, not as "--"
-    overrides = {key: "--" if getattr(args, key) == [] else getattr(args, key)
-                 for key in config_defaults()}
+    overrides = {key: getattr(args, key) for key in config_defaults()}
     try:
         cfg = parse_config(overrides, config_file=args.config)
         summary = run_experiment(cfg)  # refuses an unwritable out before training
@@ -92,32 +90,39 @@ def _write_counts(out: TextIO, analytic: np.ndarray, empirical: np.ndarray,
 
 def _cmd_counts(args: argparse.Namespace) -> int:
     start = "empty" if args.scheme.endswith("empty") else "full"
-    with contextlib.ExitStack() as stack:
-        try:
-            # the scenario would refuse this too, after checking buffer >= 1,
-            # but by its field names
-            if start == "empty" and 1 <= args.buffer < args.updates:
-                raise ValueError("updates: an empty start needs --updates <= --buffer "
-                                 f"(got {args.updates} > {args.buffer})")
-            scn = SamplingScenario(args.buffer, args.updates, args.eta, start)
-            if args.scheme.startswith("uniform"):  # checked, then unused: uniform is eta 1
-                scn = dataclasses.replace(scn, eta=1.0)
-            if args.trials < 1:
-                raise ValueError("trials: must be >= 1")
-            out = stack.enter_context(_replacing(args.out)) if args.out else sys.stdout
-        except ValueError as exc:
-            return _config_error(exc)
-        except OSError as exc:
-            return _config_error(f"out: {exc}")
-        analytic = analysis.expected_counts(scn)
-        empirical, sigma = analysis.empirical_counts(scn, args.trials,
-                                                     make_rng(args.seed, "counts"))
-        _write_counts(out, analytic, empirical, sigma)
+    try:
+        with contextlib.ExitStack() as stack:
+            try:
+                # the scenario would refuse this too, after checking buffer >= 1,
+                # but by its field names
+                if start == "empty" and 1 <= args.buffer < args.updates:
+                    raise ValueError("updates: an empty start needs --updates <= --buffer "
+                                     f"(got {args.updates} > {args.buffer})")
+                scn = SamplingScenario(args.buffer, args.updates, args.eta, start)
+                if args.scheme.startswith("uniform"):  # checked, then unused: uniform is eta 1
+                    scn = dataclasses.replace(scn, eta=1.0)
+                if args.trials < 1:
+                    raise ValueError("trials: must be >= 1")
+                out = stack.enter_context(_replacing(args.out)) if args.out else sys.stdout
+            except ValueError as exc:
+                return _config_error(exc)
+            except OSError as exc:
+                return _config_error(f"out: {exc}")
+            analytic = analysis.expected_counts(scn)
+            empirical, sigma = analysis.empirical_counts(scn, args.trials,
+                                                         make_rng(args.seed, "counts"))
+            _write_counts(out, analytic, empirical, sigma)
+    except OSError as exc:  # the write, or the move over --out; the file is as it was
+        print(f"counts not written: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    for key, value in vars(args).items():  # argparse reads "--key=--" as [], untyped
+        if value == []:
+            return _config_error(f"{key}: cannot parse value '--'")
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_counts(args)

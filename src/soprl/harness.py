@@ -168,14 +168,6 @@ def parse_config(overrides: dict[str, object], config_file: str | Path | None = 
         raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)}: {msg}") from None
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _require_finite(step: int, fields: dict[str, object]) -> None:
     """Refuse a row holding a NaN or infinite float, naming its column."""
     for column, value in fields.items():
@@ -194,8 +186,7 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    # O_EXCL never reuses a file; mode 0o666 gives what a plain open gives
-    out = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", newline="")
+    out = open(tmp, "x", newline="")  # exclusive: never reuses a file
     try:
         yield out
         out.close()
@@ -215,7 +206,7 @@ def write_seed_csv(path: Path, seed: int, record: TrainRecord) -> None:
         for row in record.rows:
             fields = {c: getattr(row, c) for c in CSV_COLUMNS[2:]}
             _require_finite(row.step, fields)
-            writer.writerow([row.step, seed, *map(_fmt, fields.values())])
+            writer.writerow([row.step, seed, *fields.values()])
 
 
 def write_aggregate_csv(path: Path, records: dict[int, TrainRecord]) -> None:
@@ -230,7 +221,7 @@ def write_aggregate_csv(path: Path, records: dict[int, TrainRecord]) -> None:
             vals = np.array(by_step[step])
             fields = dict(zip(AGGREGATE_COLUMNS[1:], (float(vals.mean()), float(vals.std()))))
             _require_finite(step, fields)
-            writer.writerow([step, *map(_fmt, fields.values())])
+            writer.writerow([step, *fields.values()])
 
 
 @dataclass

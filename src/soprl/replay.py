@@ -337,15 +337,15 @@ def per_sample(tree: SumTree, buffer: ReplayBuffer, batch: int,
     return buffer.gather(slots), slots, weights
 
 
-def exponential_segment_masses(size: int, lam: float, segment: int) -> np.ndarray:
-    """Exact mass of lam*exp(-lam*x) over each recency segment, unnormalized.
+def exponential_segment_masses(size: int, lam: float) -> np.ndarray:
+    """Exact mass of lam*exp(-lam*x) over each EXP_SEGMENT recency segment, unnormalized.
 
     Written as exp(-lam*start) * (1 - exp(-lam*len)) via expm1; the naive
     difference of exponentials loses all precision once lam*len ~ 1e-10.
     """
-    n_seg = (size + segment - 1) // segment
-    starts = np.arange(n_seg) * segment
-    lengths = np.minimum(starts + segment, size) - starts
+    n_seg = (size + EXP_SEGMENT - 1) // EXP_SEGMENT
+    starts = np.arange(n_seg) * EXP_SEGMENT
+    lengths = np.minimum(starts + EXP_SEGMENT, size) - starts
     return np.exp(-lam * starts) * -np.expm1(-lam * lengths)
 
 
@@ -361,7 +361,7 @@ def _segment_cdf(size: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     most b/G exactly when its scaled ceiling is at most b.  G lies in
     (8, 16] times the segment count, a table of 1 MB at 10,000 segments.
     """
-    masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+    masses = exponential_segment_masses(size, lam)
     probs = masses / masses.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
@@ -499,8 +499,7 @@ class ExpSampler(Sampler):
 class PerSampler(Sampler):
     def __init__(self, cfg, buffer: ReplayBuffer):
         super().__init__(cfg, buffer)
-        self.tree = SumTree(buffer.capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2,
-                            priority_floor=cfg.per_priority_floor)
+        self.tree = SumTree(buffer.capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2)
         self._env_steps = 0  # at the previous episode_done
 
     def episode_done(self, env_steps: int, ep_return: float) -> None:
@@ -515,8 +514,7 @@ class PerSampler(Sampler):
         super().episode_done(env_steps, ep_return)
 
     def draw(self, k: int, ep_len: int, rng: np.random.Generator) -> tuple:
-        return per_sample(self.tree, self.buffer, self.cfg.batch_size, rng,
-                          self.cfg.per_normalize_weights)
+        return per_sample(self.tree, self.buffer, self.cfg.batch_size, rng)
 
     def learned(self, slots: np.ndarray, td: np.ndarray) -> None:
         per_update_priorities(self.tree, slots, td)

@@ -73,6 +73,14 @@ class TestConfig:
         assert (cfg.per_beta1, cfg.per_beta2) == (0.4, 0.4)
         assert cfg.exp_lambda == 5e-6
 
+    @pytest.mark.parametrize("variant", ["sop", "sop_ig"])
+    def test_sigma_whose_entropy_is_log_zero_is_refused_at_construction(self, variant):
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"^sigma: 1e-200 is too small for a finite entropy$"):
+            make_agent(desk_cfg(variant=variant, sigma=1e-200), scale=0.1)
+        agent = make_agent(desk_cfg(variant=variant, sigma=1e-160), scale=0.1)
+        assert np.isfinite(agent.head.entropy(np.zeros((1, 1)), 1e-160, [0]))
+
 
 class TestAct:
     def test_evaluate_zero_policy_gives_zero_action(self):

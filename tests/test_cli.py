@@ -1,5 +1,6 @@
 import csv
 import errno
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,10 @@ class TestRunCommand:
     (["run", *SMALL_RUN, "--sigma", "inf"], "sigma"),
     (["run", *SMALL_RUN, "--sigma", "nan"], "sigma"),
     (["run", "--seeds", "1,1"], "seeds"),
+    # argparse reads "--key=--" as an empty list, which passes no type or choice check
+    (["run", "--config=--"], "config"), (["run", "--buffer=--"], "buffer"),
+    (["analyze", "counts", "--scheme=--"], "scheme"),
+    (["analyze", "counts", "--scheme", "ere_full", "--buffer=--"], "buffer"),
     (["analyze", "counts", "--scheme", "uniform_full", "--buffer", "0"], "buffer")])
 def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkeypatch,
                                                      capsys):
@@ -133,7 +138,7 @@ COUNTS_SMALL = ["analyze", "counts", "--scheme", "ere_full", "--buffer", "30",
                 "--updates", "20", "--trials", "10"]
 
 
-def test_counts_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+def test_counts_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "counts.csv"
     out.write_bytes(b"previous\r\n")
 
@@ -143,8 +148,10 @@ def test_counts_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypat
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(cli, "_write_counts", fail_midway)
-    with pytest.raises(OSError, match="No space left"):
-        run_cli(*COUNTS_SMALL, "--out", str(out))
+    assert run_cli(*COUNTS_SMALL, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"counts not written: [Errno {errno.ENOSPC}] No space left on device\n"
     assert out.read_bytes() == b"previous\r\n"
     assert sorted(tmp_path.iterdir()) == [out]
 
@@ -217,6 +224,10 @@ def test_run_where_every_seed_fails_writes_no_aggregate(tmp_path, monkeypatch, c
     # Python-float arithmetic overflows with no numpy error: the CSV refuses it
     (["--sigma", "1e154"], "ValueError: entropy_estimate: inf at step 100 is not finite"),
     (["--lr", "1e200"], "FloatingPointError: overflow encountered in "),
+    # the noise variance rounds to 0, and its entropy would be log(0)
+    (["--sigma", "1e-200"], "ValueError: sigma: 1e-200 is too small for a finite entropy"),
+    (["--sigma", "1e-200", "--variant", "sop_ig"],
+     "ValueError: sigma: 1e-200 is too small for a finite entropy"),
 ])
 def test_run_that_goes_non_finite_fails_the_seed_and_writes_no_csv(flags, failure, tmp_path):
     # a subprocess, so that numpy warnings reach stderr as a CLI run shows them
@@ -229,6 +240,17 @@ def test_run_that_goes_non_finite_fails_the_seed_and_writes_no_csv(flags, failur
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[1].startswith(f"seed 0 failed: {failure}")
     assert list(tmp_path.iterdir()) == []  # no CSV, no aggregate, no temp file
+
+
+@pytest.mark.parametrize("variant", ["sop", "sop_ig"])
+def test_run_with_the_smallest_sigma_of_finite_entropy_writes_its_csv(variant, tmp_path):
+    assert run_cli("run", "--env", "pointmass1d", "--steps", "150", "--warmup", "50",
+                   "--batch", "8", "--hidden", "4", "--buffer", "100", "--eval-interval", "100",
+                   "--sigma", "1e-160", "--variant", variant, "--out", str(tmp_path)) == 0
+    with open(tmp_path / "seed_0.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["step"] for row in rows] == ["100"]
+    assert all(math.isfinite(float(row["entropy_estimate"])) for row in rows)
 
 
 def test_run_where_a_seed_csv_cannot_be_written_fails_only_that_seed(tmp_path, capsys):

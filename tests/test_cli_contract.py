@@ -1,6 +1,8 @@
-"""The ``soprl run`` contract, fuzzed over every config key.
+"""The ``soprl run`` and ``soprl analyze counts`` contracts, fuzzed over
+every flag.
 
-Each example draws a flag set for ``soprl run``: every key of
+``run``: each example draws a flag set for ``soprl run``: every key of
+
 ``config_defaults()`` is left out, given a value a run accepts, or, for at
 most two keys, given a wild one (extreme, negative, zero, non-numeric,
 empty).  It calls ``cli.main`` in-process and checks that
@@ -18,6 +20,16 @@ empty).  It calls ``cli.main`` in-process and checks that
 The sizes a run allocates and loops over are bounded, wild values
 included: steps <= 300, hidden <= 8, buffer <= 500, batch <= 16,
 eval_rollouts <= 3, and at most three seeds.
+
+``analyze counts``: each example gives every flag a value it accepts or,
+for at most two flags, a wild one: any int for a size or ``--seed``, any
+float for ``--eta``, text that is not a number, or, for ``--scheme``,
+``--eta`` and ``--seed``, nothing.  ``--buffer``, ``--updates`` and
+``--trials`` are always given and at most 200, 200 and 50 (wild values
+included), so that a full start covers at most 400 positions.  It checks
+that the exit code is 0 or 2, with no ``Traceback`` or ``Warning``; that an
+exit of 2 writes nothing; and that an exit of 0 writes the header and
+finite fields, one row per position, and reruns to the same bytes.
 """
 
 import contextlib
@@ -31,7 +43,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soprl.agent import SAMPLERS, VARIANTS
-from soprl.cli import main
+from soprl.cli import SCHEMES, main
 from soprl.envs import env_names
 from soprl.harness import AGGREGATE_COLUMNS, CSV_COLUMNS, config_defaults
 
@@ -190,3 +202,80 @@ def test_run_keeps_its_contract_for_any_flag_set(drawn, tmp_path_factory):
                 assert _without_wall_ms(name, again[name]) == _without_wall_ms(name, data)
             else:
                 assert again[name] == data, (argv, name)
+
+
+COUNTS_CAPS = {"buffer": 200, "updates": 200, "trials": 50}
+COUNTS_HEADER = ["index", "analytic", "empirical_mean", "empirical_sigma"]
+# where --out points: as for run, plus the example's own directory
+COUNTS_OUTS = [None, "counts.csv", "a/b/counts.csv", "blocker", "blocker/counts.csv", "."]
+
+
+COUNTS_VALID = {
+    "scheme": st.sampled_from(SCHEMES), "eta": _floats(0.0, 1.0, exclude_min=True),
+    "buffer": _ints(1, 200), "updates": _ints(1, 200), "trials": _ints(1, 50),
+    "seed": _ints(0, 2 ** 64),
+}
+COUNTS_WILD = {
+    "scheme": st.sampled_from(SCHEMES), "eta": st.floats().map(repr),
+    "seed": _ints(-HUGE, HUGE), **{key: _ints(-HUGE, cap) for key, cap in COUNTS_CAPS.items()},
+}
+
+
+@st.composite
+def counts_flags(draw):
+    """Every flag valid or, for at most two, wild (see the module docstring)."""
+    wild = draw(st.sets(st.sampled_from(list(COUNTS_VALID)), max_size=2))
+    flags = []
+    for key in COUNTS_VALID:
+        if key in wild:
+            unset = () if key in COUNTS_CAPS else (st.none(),)
+            value = draw(st.one_of(COUNTS_WILD[key], JUNK, *unset))
+        else:
+            value = draw(COUNTS_VALID[key])
+        if value is not None:
+            flags.append(f"--{key}={value}")
+    return flags, draw(st.sampled_from(COUNTS_OUTS))
+
+
+def _counts_rows(flags: list[str]) -> int:
+    """The positions a counts run covers: its updates, plus a full start's buffer."""
+    value = {flag.split("=", 1)[0]: flag.split("=", 1)[1] for flag in flags}
+    full = value["--scheme"].endswith("full")
+    return int(value["--updates"]) + (int(value["--buffer"]) if full else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=counts_flags())
+# argparse reads "--buffer=--" as an empty list, which reached SamplingScenario
+# and ended the command in a TypeError traceback
+@example(drawn=(["--scheme=ere_full", "--buffer=--", "--updates=5", "--trials=2"], None))
+@example(drawn=(["--scheme=uniform_empty", "--buffer=30", "--updates=20", "--trials=10",
+                 "--seed=-1"], "blocker"))
+def test_counts_keeps_its_contract_for_any_flag_set(drawn, tmp_path_factory):
+    flags, out = drawn
+    example = tmp_path_factory.mktemp("ex")
+    _fresh(example)
+    argv = ["analyze", "counts", *flags] + ([f"--out={example / out}"] if out else [])
+    before = _tree(example)
+    code, stdout, stderr = _run(argv)
+
+    assert code in (0, 2), (argv, code, stderr)
+    for text in (stdout, stderr):
+        assert "Traceback" not in text and "Warning" not in text, (argv, text)
+    after = _tree(example)
+    if code == 2:
+        assert after == before and stdout == "", argv
+        return
+    written = stdout.encode() if out is None else after[out]
+    assert out is None or stdout == "", argv
+    assert after.keys() == before.keys() | ({out} if out else set()), (argv, sorted(after))
+    rows = list(csv.reader(io.StringIO(written.decode(), newline="")))
+    assert rows[0] == COUNTS_HEADER, argv
+    assert len(rows) == 1 + _counts_rows(flags), argv
+    for i, row in enumerate(rows[1:]):
+        assert len(row) == 4 and row[0] == str(i), (argv, row)
+        assert all(math.isfinite(float(field)) for field in row[1:]), (argv, row)
+
+    _fresh(example)
+    assert _run(argv) == (code, stdout, stderr), argv
+    assert _tree(example) == after, argv

@@ -182,6 +182,15 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         assert all(float(r["wall_ms"]) == 0.0 for r in rows)
 
+    def test_numpy_scalar_field_is_written_as_its_float(self, tmp_path):
+        agent = AgentConfig(sampler="ere", eta0=np.float64(0.99), buffer_capacity=2000,
+                            batch_size=16, warmup_steps=50, hidden_dim=8)
+        run_experiment(ExperimentConfig(env="pointmass1d", steps=200, eval_interval=100,
+                                        seeds=(1,), out=str(tmp_path), agent=agent))
+        with open(tmp_path / "seed_1.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["eta_current"] for r in rows] == ["0.99", "0.99"]
+
     @pytest.mark.parametrize("target", ["seed_1.csv", "aggregate.csv"])
     def test_csv_write_failing_midway_keeps_the_previous_file(self, target, tmp_path,
                                                               monkeypatch):
@@ -190,17 +199,17 @@ class TestRunExperiment:
         summary = run_experiment(parse_config(tiny_overrides(out=str(tmp_path))))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["aggregate.csv", "seed_1.csv"]  # no temp file left
-        fmt, calls = H._fmt, []
+        require_finite, calls = H._require_finite, []
 
-        def fail_midway(value):
-            calls.append(value)
-            if len(calls) == 3:  # past the header and into the rows
+        def fail_midway(step, fields):
+            calls.append(step)
+            if len(calls) == 2:  # past the header and the first row
                 assert [p.name for p in tmp_path.iterdir() if p.name not in before] == [
                     f".{target}.{os.getpid()}.tmp"]
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return fmt(value)
+            return require_finite(step, fields)
 
-        monkeypatch.setattr(H, "_fmt", fail_midway)
+        monkeypatch.setattr(H, "_require_finite", fail_midway)
         with pytest.raises(OSError, match="No space left"):
             if target == "seed_1.csv":
                 H.write_seed_csv(tmp_path / target, 1, summary.records[1])

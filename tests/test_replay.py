@@ -736,7 +736,7 @@ class TestPerSampling:
 
 class TestExponentialSampler:
     def test_flat_limit_for_tiny_lambda(self):
-        masses = exponential_segment_masses(2000, 1e-12, 100)
+        masses = exponential_segment_masses(2000, 1e-12)
         rel = np.max(masses) / np.min(masses) - 1.0
         assert rel < 1e-6
 
@@ -751,7 +751,7 @@ class TestExponentialSampler:
         assert abs(c10 - c11) < 5 * np.sqrt(c10 + c11)
 
     def test_segment_masses_strictly_decreasing(self):
-        masses = exponential_segment_masses(1000, 0.01, 100)
+        masses = exponential_segment_masses(1000, 0.01)
         assert np.all(np.diff(masses) < 0)
 
     def test_lambda_must_be_positive(self):
@@ -762,7 +762,7 @@ class TestExponentialSampler:
 
     def test_recent_mass_closed_form(self):
         # probability of the most recent 1e5 of 1e6 indices, lambda=5e-6
-        masses = exponential_segment_masses(1_000_000, 5e-6, 100)
+        masses = exponential_segment_masses(1_000_000, 5e-6)
         frac = masses[:1000].sum() / masses.sum()
         expected = (1 - np.exp(-0.5)) / (1 - np.exp(-5.0))
         assert frac == pytest.approx(expected, rel=1e-9)
@@ -776,7 +776,7 @@ class TestExponentialSampler:
         got_rng, want_rng = np.random.default_rng(size), np.random.default_rng(size)
         for batch in (256, 1):
             got = sample_exponential(buf, lam, batch, got_rng)
-            masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+            masses = exponential_segment_masses(size, lam)
             probs = masses / masses.sum()
             seg = want_rng.choice(probs.size, size=batch, p=probs)
             starts = seg * EXP_SEGMENT
@@ -807,7 +807,7 @@ class TestExponentialSampler:
         for size in range(1, 3001, 37):
             buf.cursor, buf.size = size % 3000, size
             got = sample_exponential(buf, lam, 64, got_rng)
-            masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+            masses = exponential_segment_masses(size, lam)
             seg = want_rng.choice(masses.size, size=64, p=masses / masses.sum())
             starts = seg * EXP_SEGMENT
             lengths = np.minimum(starts + EXP_SEGMENT, size) - starts
@@ -825,7 +825,7 @@ class TestExponentialSampler:
         slots = sample_exponential(buf, lam, draws, rng)
         recency = (buf.cursor - 1 - slots) % buf.capacity
         counts = np.bincount(recency // EXP_SEGMENT, minlength=size // EXP_SEGMENT)
-        masses = exponential_segment_masses(size, lam, EXP_SEGMENT)
+        masses = exponential_segment_masses(size, lam)
         probs = masses / masses.sum()
         sigma = np.sqrt(draws * probs * (1 - probs))
         assert np.max(np.abs(counts - draws * probs) / sigma) < 3.0
@@ -966,7 +966,7 @@ def replay_by_hand(cfg, rng, rebuild_every):
     tree = None
     if cfg.sampler == "per":
         tree = SumTree(cfg.buffer_capacity, beta1=cfg.per_beta1, beta2=cfg.per_beta2,
-                       priority_floor=cfg.per_priority_floor, rebuild_every=rebuild_every)
+                       rebuild_every=rebuild_every)
     eta = cfg.eta0
     draws, etas, steps = [], [], 0
     for ep_len, ep_return in EPISODES:
@@ -988,8 +988,7 @@ def replay_by_hand(cfg, rng, rebuild_every):
             if tree is None:
                 batch, weights = buffer.gather(slots), None
             else:
-                batch, slots, weights = per_sample(tree, buffer, cfg.batch_size, rng,
-                                                   cfg.per_normalize_weights)
+                batch, slots, weights = per_sample(tree, buffer, cfg.batch_size, rng)
             if tree is not None:
                 per_update_priorities(tree, slots, fake_td(batch, k))
             draws.append((batch, slots, weights))
