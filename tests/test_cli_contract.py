@@ -2,7 +2,6 @@
 every flag.
 
 ``run``: each example draws a flag set for ``soprl run``: every key of
-
 ``config_defaults()`` is left out, given a value a run accepts, or, for at
 most two keys, given a wild one (extreme, negative, zero, non-numeric,
 empty).  It calls ``cli.main`` in-process and checks that
@@ -209,11 +208,9 @@ COUNTS_HEADER = ["index", "analytic", "empirical_mean", "empirical_sigma"]
 # where --out points: as for run, plus the example's own directory
 COUNTS_OUTS = [None, "counts.csv", "a/b/counts.csv", "blocker", "blocker/counts.csv", "."]
 
-
 COUNTS_VALID = {
     "scheme": st.sampled_from(SCHEMES), "eta": _floats(0.0, 1.0, exclude_min=True),
-    "buffer": _ints(1, 200), "updates": _ints(1, 200), "trials": _ints(1, 50),
-    "seed": _ints(0, 2 ** 64),
+    "seed": _ints(0, 2 ** 64), **{key: _ints(1, cap) for key, cap in COUNTS_CAPS.items()},
 }
 COUNTS_WILD = {
     "scheme": st.sampled_from(SCHEMES), "eta": st.floats().map(repr),
@@ -239,7 +236,7 @@ def counts_flags(draw):
 
 def _counts_rows(flags: list[str]) -> int:
     """The positions a counts run covers: its updates, plus a full start's buffer."""
-    value = {flag.split("=", 1)[0]: flag.split("=", 1)[1] for flag in flags}
+    value = dict(flag.split("=", 1) for flag in flags)
     full = value["--scheme"].endswith("full")
     return int(value["--updates"]) + (int(value["--buffer"]) if full else 0)
 
