@@ -112,10 +112,13 @@ class SopAgent:
         self.critics = tuple(nets.TrainedNet(q, q.copy()) for q in qs)
         self.head = (InvertingGradientsHead(bounds) if cfg.variant == "sop_ig"
                      else TanhHead(bounds, normalize=cfg.variant != "no_norm"))
-        # a noise variance that rounds to 0 has entropy log(0): refused before training
+        # a noise variance that rounds to 0 (entropy log(0)) or overflows (+inf or
+        # NaN) has no finite entropy: refused before training
         with np.errstate(all="ignore"):
-            if self.head.entropy(np.zeros((1, action_dim)), cfg.sigma, [0]) == -np.inf:
-                raise ValueError(f"sigma: {cfg.sigma!r} is too small for a finite entropy")
+            entropy = self.head.entropy(np.zeros((1, action_dim)), cfg.sigma, [0])
+        if not math.isfinite(entropy):
+            size = "small" if entropy == -math.inf else "large"
+            raise ValueError(f"sigma: {cfg.sigma!r} is too {size} for a finite entropy")
 
     # -- acting ------------------------------------------------------------
 

@@ -103,6 +103,8 @@ def _cmd_counts(args: argparse.Namespace) -> int:
                     scn = dataclasses.replace(scn, eta=1.0)
                 if args.trials < 1:
                     raise ValueError("trials: must be >= 1")
+                if args.out == "":
+                    raise ValueError("out: must not be empty; leave it unset for stdout")
                 out = stack.enter_context(_replacing(args.out)) if args.out else sys.stdout
             except ValueError as exc:
                 return _config_error(exc)

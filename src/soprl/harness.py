@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ConfigError("eval_rollouts: must be >= 1")
         if self.steps < 0:
             raise ConfigError("steps: must be >= 0")
+        if self.out == "":
+            raise ConfigError("out: must not be empty; leave it unset to write no CSV")
         if self.env not in env_names():
             raise ConfigError(f"env: unknown environment '{self.env}', "
                               f"expected one of {env_names()}")

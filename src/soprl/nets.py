@@ -11,16 +11,17 @@ A ``TrainedNet`` holds all of one network's training state.
 Inputs may be a single vector ``(d,)`` or a batch ``(B, d)``; outputs match
 the input rank.
 
-A cached forward writes the hidden activations into buffers the network
-keeps per batch size; uncached forwards and the backward passes work in two
-scratch buffers per shape that all networks share.  A
-steady-state update therefore allocates nothing of batch size.  The cache a
-cached forward returns points into the network's buffers: it is valid until
-the next cached forward of the same params object.  Uncached forwards
-(``mlp_forward``), batches of another size and passes of other networks
-leave it intact.  Outputs and input gradients (``mlp_input_grad``) are fresh
-arrays; parameter gradients (``mlp_backward_cached``, which skips the input
-gradient) are too, unless the caller passes its own buffer as ``out``.
+Every forward writes the hidden activations into buffers the network owns
+per batch size, and the backward pass writes each layer's gradient over the
+activation it has just finished with, so a steady-state update allocates
+nothing of batch size.  The cache a cached forward returns points into those
+buffers and, like an autodiff tape, serves one backward pass
+(``mlp_backward_cached`` or ``mlp_input_grad``); a second one is refused.  It
+is valid until that pass or the next forward of the same params object at
+the same batch size; batches of another size and passes of other networks
+leave it intact.  Outputs and input gradients are fresh arrays; parameter
+gradients (``mlp_backward_cached``, which skips the input gradient) are too,
+unless the caller passes its own buffer as ``out``.
 
 A layer product whose left operand has one column (the first layer of a
 network with one input, and every step back through a layer with one
@@ -55,7 +56,7 @@ class MlpParams:
     flat: np.ndarray | None = field(default=None, repr=False)
     # layer widths, input first; set once, since the views never change shape
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # hidden-activation buffers of cached forwards, by batch rows
+    # hidden-activation buffers of every forward, by batch rows
     _acts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,26 +126,15 @@ def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Input and hidden activations of a forward pass, for the backward pass.
+    """Input and hidden activations of a forward pass, for one backward pass.
 
-    ``hidden`` holds the network's own buffers (see the module docstring).
+    ``hidden`` holds the network's own buffers (see the module docstring);
+    ``spent`` is set by the backward pass that overwrites them.
     """
 
     x: np.ndarray
     hidden: list[np.ndarray]
-
-
-# two buffers per shape, shared by the uncached forward and backward passes of
-# every network; their contents never outlive a call
-_SCRATCH: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _scratch(shape: tuple[int, int], avoid: np.ndarray) -> np.ndarray:
-    """The shared buffer of ``shape`` that is not ``avoid``."""
-    pair = _SCRATCH.get(shape)
-    if pair is None:
-        pair = _SCRATCH[shape] = (np.empty(shape), np.empty(shape))
-    return pair[1] if avoid is pair[0] else pair[0]
+    spent: bool = False
 
 
 # zero-padded operands of one-column products, by product shape: an (rows, 2)
@@ -179,38 +169,39 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.matmul(pad_a, pad_b, out=out)
 
 
-def mlp_forward_cached(params: MlpParams, x: np.ndarray, *,
-                       keep: bool = True) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass; the cache stays valid until the next cached forward of
-    ``params``.  With ``keep=False`` the activations go to shared scratch
-    instead, and the cache only lasts until the next pass of any network."""
+def mlp_forward_cached(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass; the cache serves one backward pass, until the next
+    forward of ``params`` at this batch size."""
     x2d = _as_batch(x, params.sizes[0], "input")
-    rows = x2d.shape[0]
-    kept = params._hidden_buffers(rows) if keep else None
-    hidden, h = [], x2d
-    for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        buf = kept[i] if keep else _scratch((rows, w.shape[1]), h)
+    hidden, h = params._hidden_buffers(x2d.shape[0]), x2d
+    for buf, w, b in zip(hidden, params.weights[:-1], params.biases[:-1]):
         _matmul(h, w, buf)
         buf += b
         h = np.maximum(buf, 0.0, out=buf)
-        hidden.append(h)
     out = _matmul(h, params.weights[-1])
     out += params.biases[-1]
     return out, ForwardCache(x2d, hidden)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; deterministic, float64.  Leaves the cache of the
-    last cached forward of ``params`` valid."""
-    y, _ = mlp_forward_cached(params, x, keep=False)  # which checks ``x``
+    """Evaluate the network; deterministic, float64.  Like every forward, it
+    replaces the cache of ``params`` at this batch size."""
+    y, _ = mlp_forward_cached(params, x)  # which checks ``x``
     return y[0] if np.ndim(x) == 1 else y
 
 
-def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
+def _backprop(params: MlpParams, cache: ForwardCache, output_grad: np.ndarray,
               grads: MlpParams | None) -> np.ndarray | None:
-    """Carry ``upstream`` back from the output: into the parameter gradients
-    ``grads`` when given, else to the input, whose gradient it returns.  The
-    ReLU mask of a hidden layer is ``h > 0``, which equals ``z > 0``."""
+    """Carry ``output_grad`` back from the output: into the parameter
+    gradients ``grads`` when given, else to the input, whose gradient it
+    returns.  Each hidden layer's ReLU mask ``h > 0`` (which equals ``z > 0``)
+    is read before its gradient overwrites ``h``, which spends the cache."""
+    upstream = _as_batch(output_grad, params.sizes[-1], "output_grad")
+    if upstream.shape[0] != cache.x.shape[0]:
+        raise ValueError("output_grad batch size does not match forward input")
+    if cache.spent:
+        raise ValueError("cache already spent by a backward pass; run the forward again")
+    cache.spent = True
     for i in range(params.n_layers - 1, -1, -1):
         if grads is not None:
             inp = cache.x if i == 0 else cache.hidden[i - 1]
@@ -219,18 +210,9 @@ def _backprop(params: MlpParams, cache: ForwardCache, upstream: np.ndarray,
         if i == 0:
             return None if grads is not None else _matmul(upstream, params.weights[0].T)
         h = cache.hidden[i - 1]
-        buf = _matmul(upstream, params.weights[i].T, _scratch(h.shape, upstream))
-        buf *= h > 0.0
-        upstream = buf
-
-
-def _output_grad(params: MlpParams, cache: ForwardCache,
-                 output_grad: np.ndarray) -> np.ndarray:
-    """``output_grad`` as a batch with the cached forward's rows."""
-    g = _as_batch(output_grad, params.sizes[-1], "output_grad")
-    if g.shape[0] != cache.x.shape[0]:
-        raise ValueError("output_grad batch size does not match forward input")
-    return g
+        mask = h > 0.0
+        upstream = _matmul(upstream, params.weights[i].T, h)
+        upstream *= mask
 
 
 def mlp_backward_cached(params: MlpParams, cache: ForwardCache, output_grad: np.ndarray,
@@ -239,16 +221,15 @@ def mlp_backward_cached(params: MlpParams, cache: ForwardCache, output_grad: np.
 
     They go into ``out`` when it is given (every element is overwritten) and
     into a fresh container otherwise."""
-    g = _output_grad(params, cache, output_grad)
     grads = zeros_like_params(params) if out is None else out
-    _backprop(params, cache, g, grads)
+    _backprop(params, cache, output_grad, grads)
     return grads
 
 
 def mlp_input_grad(params: MlpParams, cache: ForwardCache,
                    output_grad: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the input only; skips the parameter gradients."""
-    return _backprop(params, cache, _output_grad(params, cache, output_grad), None)
+    return _backprop(params, cache, output_grad, None)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,18 @@ class TestConfig:
             make_agent(desk_cfg(variant=variant, sigma=1e-200), scale=0.1)
         agent = make_agent(desk_cfg(variant=variant, sigma=1e-160), scale=0.1)
         assert np.isfinite(agent.head.entropy(np.zeros((1, 1)), 1e-160, [0]))
+
+    @pytest.mark.parametrize("variant, refused, largest", [("sop", 1e154, 1e153),
+                                                           ("sop_ig", 1e155, 1e154)])
+    def test_sigma_whose_entropy_overflows_is_refused_at_construction(self, variant,
+                                                                     refused, largest):
+        # +inf for both heads, and NaN (inf - inf) for the tanh head at 1e308
+        for sigma in (refused, 1e308):
+            message = f"^sigma: {re.escape(repr(sigma))} is too large for a finite entropy$"
+            with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+                make_agent(desk_cfg(variant=variant, sigma=sigma), scale=0.1)
+        agent = make_agent(desk_cfg(variant=variant, sigma=largest), scale=0.1)
+        assert np.isfinite(agent.head.entropy(np.zeros((1, 1)), largest, [0]))
 
 
 class TestAct:
@@ -554,7 +567,7 @@ class TestTrain:
         assert rec_e.rows[0].eta_current == pytest.approx(0.995)
 
 
-@pytest.mark.parametrize("variant", ["sop", "sop_ig"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_warm_update_allocates_nothing_of_batch_size(variant):
     """A 256x64 float64 activation is 128 KiB; a warm update at the desk size
     keeps its transient heap peak below two of them."""

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from soprl.cli import main
 
 def run_cli(*args):
     return main(list(args))
+
+
+# a subprocess imports soprl from this checkout's src first, installed or not
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 # a run small enough that a value missed by the config checks fails within seconds
@@ -95,7 +101,12 @@ def test_bad_input_is_a_config_error_before_any_work(argv, key, tmp_path, monkey
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "counts", "--scheme", "uniform_full", "--out", "missing_dir/x.csv"],
-    ["run", "--env", "pointmass1d", "--out", "taken"]], ids=["analyze", "run"])
+    ["run", "--env", "pointmass1d", "--out", "taken"],
+    # an empty path would send the counts to stdout, or run every seed and write nothing
+    ["analyze", "counts", "--scheme", "uniform_full", "--out", ""],
+    ["run", "--env", "pointmass1d", "--out", ""],
+    ["run", "--config", "empty_out.cfg"]],
+    ids=["analyze", "run", "analyze-empty", "run-empty", "config-file-empty"])
 def test_unwritable_out_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output was checked")
@@ -104,9 +115,11 @@ def test_unwritable_out_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("soprl.analysis.expected_counts", no_work)
     monkeypatch.setattr("soprl.harness.train", no_work)
     (tmp_path / "taken").write_text("a file, not a directory")
+    (tmp_path / "empty_out.cfg").write_text("env = pointmass1d\nout =\n")
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("config error: out: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: out: ") and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty_out.cfg", "taken"]
     assert (tmp_path / "taken").read_text() == "a file, not a directory"
 
 
@@ -218,11 +231,13 @@ def test_run_where_every_seed_fails_writes_no_aggregate(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("flags, failure", [
-    (["--sigma", "1e308"], "FloatingPointError: overflow encountered in multiply"),
+    # the noise variance overflows, and its entropy would be +inf or NaN
+    (["--sigma", "1e308"], "ValueError: sigma: 1e+308 is too large for a finite entropy"),
     (["--sigma", "1e308", "--variant", "sop_ig"],
-     "FloatingPointError: overflow encountered in multiply"),
-    # Python-float arithmetic overflows with no numpy error: the CSV refuses it
-    (["--sigma", "1e154"], "ValueError: entropy_estimate: inf at step 100 is not finite"),
+     "ValueError: sigma: 1e+308 is too large for a finite entropy"),
+    (["--sigma", "1e154"], "ValueError: sigma: 1e+154 is too large for a finite entropy"),
+    (["--sigma", "1e155", "--variant", "sop_ig"],
+     "ValueError: sigma: 1e+155 is too large for a finite entropy"),
     (["--lr", "1e200"], "FloatingPointError: overflow encountered in "),
     # the noise variance rounds to 0, and its entropy would be log(0)
     (["--sigma", "1e-200"], "ValueError: sigma: 1e-200 is too small for a finite entropy"),
@@ -235,18 +250,21 @@ def test_run_that_goes_non_finite_fails_the_seed_and_writes_no_csv(flags, failur
                            "--steps", "150", "--warmup", "50", "--batch", "8", "--hidden", "4",
                            "--buffer", "100", "--eval-interval", "100",
                            "--out", str(tmp_path), *flags],
-                          capture_output=True, text=True, timeout=300)
+                          env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[1].startswith(f"seed 0 failed: {failure}")
     assert list(tmp_path.iterdir()) == []  # no CSV, no aggregate, no temp file
 
 
-@pytest.mark.parametrize("variant", ["sop", "sop_ig"])
-def test_run_with_the_smallest_sigma_of_finite_entropy_writes_its_csv(variant, tmp_path):
+@pytest.mark.parametrize("sigma, variant", [("1e-160", "sop"), ("1e-160", "sop_ig"),
+                                            ("1e153", "sop"), ("1e154", "sop_ig")])
+def test_run_with_the_smallest_sigma_of_finite_entropy_writes_its_csv(sigma, variant,
+                                                                      tmp_path):
+    # and with the largest, which the bounds' half range of 0.1 sets apart per head
     assert run_cli("run", "--env", "pointmass1d", "--steps", "150", "--warmup", "50",
                    "--batch", "8", "--hidden", "4", "--buffer", "100", "--eval-interval", "100",
-                   "--sigma", "1e-160", "--variant", variant, "--out", str(tmp_path)) == 0
+                   "--sigma", sigma, "--variant", variant, "--out", str(tmp_path)) == 0
     with open(tmp_path / "seed_0.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["step"] for row in rows] == ["100"]
@@ -303,7 +321,8 @@ class TestAnalyzeCommand:
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "soprl", "analyze", "counts",
                            "--scheme", "uniform_full", "--buffer", "10", "--updates", "10",
-                           "--trials", "10"], capture_output=True, text=True, timeout=300)
+                           "--trials", "10"],
+                          env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "index,analytic,empirical_mean,empirical_sigma"

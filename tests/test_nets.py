@@ -28,10 +28,12 @@ def wide_floats(rng, shape, zeros=0.2):
 
 
 def backward(params, x, output_grad):
-    """Parameter and input gradients of <output, output_grad>."""
+    """Parameter and input gradients of <output, output_grad>, each from its
+    own forward, since a cache serves one backward pass."""
     _, cache = nets.mlp_forward_cached(params, x)
-    return (nets.mlp_backward_cached(params, cache, output_grad),
-            nets.mlp_input_grad(params, cache, output_grad))
+    grads = nets.mlp_backward_cached(params, cache, output_grad)
+    _, cache = nets.mlp_forward_cached(params, x)
+    return grads, nets.mlp_input_grad(params, cache, output_grad)
 
 
 def finite_diff_grads(params, x, output_grad, h=1e-6):
@@ -157,9 +159,11 @@ class TestBackward:
 
 
 class TestCacheContract:
-    """A cache is valid until the next cached forward of the same params."""
+    """A cache serves one backward pass, until the next forward of the same
+    params at the same batch size."""
 
-    def test_cache_survives_other_passes(self):
+    @pytest.mark.parametrize("grad_fn", [nets.mlp_backward_cached, nets.mlp_input_grad])
+    def test_cache_survives_other_networks_and_other_batch_sizes(self, grad_fn):
         rng = np.random.default_rng(12)
         params = nets.init_mlp(3, 8, 2, rng)
         other = nets.init_mlp(3, 8, 2, rng)
@@ -167,15 +171,39 @@ class TestCacheContract:
         _, cache = nets.mlp_forward_cached(params, x)
         _, other_cache = nets.mlp_forward_cached(other, rng.standard_normal((5, 3)))
         nets.mlp_backward_cached(other, other_cache, g)
+        _, other_cache = nets.mlp_forward_cached(other, rng.standard_normal((5, 3)))
         nets.mlp_input_grad(other, other_cache, g)
         nets.mlp_forward(other, rng.standard_normal((5, 3)))
-        nets.mlp_forward(params, rng.standard_normal((5, 3)))
+        nets.mlp_forward(params, rng.standard_normal((2, 3)))
         nets.mlp_forward_cached(params, rng.standard_normal(3))
-        grads = nets.mlp_backward_cached(params, cache, g)
-        input_grad = nets.mlp_input_grad(params, cache, g)
-        expected, expected_input = backward(params.copy(), x, g)
-        assert np.array_equal(grads.flat, expected.flat)
-        assert np.array_equal(input_grad, expected_input)
+        twin = params.copy()
+        _, twin_cache = nets.mlp_forward_cached(twin, x)
+        got, expected = grad_fn(params, cache, g), grad_fn(twin, twin_cache, g)
+        if grad_fn is nets.mlp_backward_cached:
+            got, expected = got.flat, expected.flat
+        assert np.array_equal(got, expected)
+
+    def test_a_forward_at_the_same_batch_size_replaces_the_cache(self):
+        rng = np.random.default_rng(21)
+        params = nets.init_mlp(3, 8, 2, rng)
+        x, x2 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        _, cache = nets.mlp_forward_cached(params, x)
+        nets.mlp_forward(params, x2)
+        _, ref_hidden = matmul_forward(params, x2)
+        assert all(same_bits(h, r) for h, r in zip(cache.hidden, ref_hidden))
+
+    @pytest.mark.parametrize("second", [nets.mlp_backward_cached, nets.mlp_input_grad])
+    @pytest.mark.parametrize("first", [nets.mlp_backward_cached, nets.mlp_input_grad])
+    def test_a_second_backward_pass_on_one_cache_is_refused(self, first, second):
+        rng = np.random.default_rng(22)
+        params = nets.init_mlp(3, 8, 2, rng)
+        x, g = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        _, cache = nets.mlp_forward_cached(params, x)
+        first(params, cache, g)
+        with pytest.raises(ValueError, match="spent"):
+            second(params, cache, g)
+        _, cache = nets.mlp_forward_cached(params, x)  # a new forward serves again
+        second(params, cache, g)
 
     def test_outputs_and_gradients_are_fresh_arrays(self):
         rng = np.random.default_rng(13)
@@ -183,6 +211,7 @@ class TestCacheContract:
         x, g = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
         y1, cache = nets.mlp_forward_cached(params, x)
         grads1 = nets.mlp_backward_cached(params, cache, g)
+        _, cache = nets.mlp_forward_cached(params, x)
         input1 = nets.mlp_input_grad(params, cache, g)
         kept = y1.copy(), grads1.flat.copy(), input1.copy()
         y2, cache = nets.mlp_forward_cached(params, x + 1.0)
@@ -233,6 +262,7 @@ class TestGradientBuffers:
         x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, dout))
         _, cache = nets.mlp_forward_cached(params, x)
         fresh = nets.mlp_backward_cached(params, cache, g)
+        _, cache = nets.mlp_forward_cached(params, x)
         out = nets.zeros_like_params(params)
         out.flat[:] = np.nan  # any element left unwritten stays NaN
         assert nets.mlp_backward_cached(params, cache, g, out=out) is out
@@ -241,9 +271,10 @@ class TestGradientBuffers:
     def test_default_still_returns_a_fresh_container(self):
         rng = np.random.default_rng(18)
         params = nets.init_mlp(3, 8, 1, rng)
-        _, cache = nets.mlp_forward_cached(params, rng.standard_normal((4, 3)))
-        g = rng.standard_normal((4, 1))
+        x, g = rng.standard_normal((4, 3)), rng.standard_normal((4, 1))
+        _, cache = nets.mlp_forward_cached(params, x)
         first = nets.mlp_backward_cached(params, cache, g)
+        _, cache = nets.mlp_forward_cached(params, x)
         second = nets.mlp_backward_cached(params, cache, g)
         assert not np.shares_memory(first.flat, second.flat)
 
@@ -410,13 +441,15 @@ def test_one_wide_output_backward_is_bitwise_the_matmul(rows, hidden, din, seed)
     rng = np.random.default_rng(seed)
     params = nets.init_mlp(din, hidden, 1, rng)
     params.weights[-1][...] = wide_floats(rng, params.weights[-1].shape)
-    _, cache = nets.mlp_forward_cached(params, rng.standard_normal((rows, din)))
+    x = rng.standard_normal((rows, din))
+    _, cache = nets.mlp_forward_cached(params, x)
     g = wide_floats(rng, (rows, 1))
     w = params.weights[-1]
     step = nets._matmul(g, w.T, np.full((rows, hidden), np.nan))
     assert same_bits(step, np.matmul(g, w.T))
     ref_flat, ref_input = matmul_backward(params, cache, g)
     assert same_bits(nets.mlp_backward_cached(params, cache, g).flat, ref_flat)
+    _, cache = nets.mlp_forward_cached(params, x)
     assert same_bits(nets.mlp_input_grad(params, cache, g), ref_input)
 
 
